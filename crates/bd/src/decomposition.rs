@@ -22,11 +22,19 @@
 //! graph of the feasible flow: `v` belongs to it iff `v_L` has *no* residual
 //! path to `t`. (Tight sets form a union-closed family; the unreachable set
 //! is exactly their union — see DESIGN.md §3.1 for the exchange argument.)
+//!
+//! ## Engines
+//!
+//! [`decompose`] runs every Dinkelbach step on the scaled-integer network
+//! ([`RoundNets`]: checked `i128`, promoting to BigInt when a round's
+//! capacities do not fit), through the same loop the session's warm starts
+//! use ([`certify_with_candidate`]). [`decompose_exact`] keeps the
+//! single-tier rational descent as the reference oracle.
 
 use crate::error::BdError;
 use prs_flow::network_i128::{overflow_detected, reset_overflow};
 use prs_flow::{
-    stats, Cap, CapI128, CapInt, EdgeId, FlowNetwork, NetworkF64, NetworkI128, NetworkInt, SeedArc,
+    stats, Cap, CapI128, CapInt, Capacity, EdgeId, FlowNetwork, NetworkI128, NetworkInt, SeedArc,
 };
 use prs_graph::{Graph, VertexId, VertexSet};
 use prs_numeric::{gcd::lcm, BigInt, BigUint, Rational, Sign};
@@ -322,40 +330,54 @@ fn maximal_bottleneck_exact(
 
 /// Which engine holds the current scaled-integer certification build.
 ///
-/// `rebuild_int_only` admits a round to the checked-`i128` tier iff both
-/// endpoint cap totals fit in `i128` (every individual capacity is bounded
-/// by its total, so they then fit too); otherwise — or when the checked
-/// arithmetic trips at runtime — the round promotes to the BigInt engine,
-/// which computes the identical answer without the width limit.
+/// `rebuild` admits a round to the checked-`i128` tier iff both endpoint
+/// cap totals fit in `i128` (every individual capacity is bounded by its
+/// total, so they then fit too); otherwise — or when the checked arithmetic
+/// trips at runtime — the round promotes to the BigInt engine, which
+/// computes the identical answer without the width limit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum CertEngine {
+enum CertEngine {
     /// The checked machine-word fast tier (`NetworkI128`).
     I128,
     /// The arbitrary-precision fallback (`NetworkInt`).
     Int,
 }
 
-/// Paired exact + float feasibility networks for the two-tier engine.
+impl CertEngine {
+    /// The `engine` label of this engine's flow spans (`"i128"`, `"int"`).
+    fn label(self) -> &'static str {
+        match self {
+            CertEngine::I128 => <i128 as Capacity>::ENGINE,
+            CertEngine::Int => <BigInt as Capacity>::ENGINE,
+        }
+    }
+}
+
+/// The scaled-integer feasibility network of one decomposition round — the
+/// single certification engine behind [`decompose`], the session's warm
+/// starts and its delta recertification.
 ///
-/// Rebuilt **in place** when the alive set changes (one `clear` per
-/// decomposition round) and re-parameterized capacity-only between
-/// Dinkelbach steps: only the sink arcs `w_u/α` depend on α, so a step is
-/// `set_capacity` over the sink arcs plus `reset_flow` — no allocation.
+/// At `α = p/q` in lowest terms every capacity of the Hall network is
+/// multiplied by the positive constant `p·D`, where `D` is the lcm of the
+/// alive weights' denominators: source arcs carry `(w_v·D)·p`, sink arcs
+/// `(w_v·D)·q`, middle arcs stay infinite. Uniform positive scaling
+/// preserves the feasibility decision, min cuts and residual reachability of
+/// the rational network, so every set extracted here is bit-identical to
+/// what [`decompose_exact`] extracts — while each Dinic step is a plain
+/// integer add or compare instead of a gcd-normalized rational operation.
+///
+/// The network is rebuilt **in place** once per round ([`RoundNets::rebuild`])
+/// and re-parameterized capacity-only between Dinkelbach steps
+/// ([`RoundNets::set_alpha`]), so a step allocates nothing.
 pub(crate) struct RoundNets {
-    pub(crate) exact: FlowNetwork,
-    pub(crate) approx: NetworkF64,
-    /// Scaled-integer twin of `exact` for the session's warm certification:
-    /// capacities are multiplied by `p·D` (α = p/q in lowest terms, `D`
-    /// clears the alive weights' denominators), turning every flow step into
-    /// gcd-free big-integer arithmetic. Only meaningful after
-    /// [`RoundNets::rebuild_int_only`] with `cert_engine == CertEngine::Int`.
-    pub(crate) exact_int: NetworkInt,
+    /// The BigInt engine. Only meaningful when `cert_engine == CertEngine::Int`.
+    exact_int: NetworkInt,
     /// Checked-`i128` twin of `exact_int` — the certification fast tier.
     /// Same arc order, hence the same `EdgeId`s. Only meaningful when
     /// `cert_engine == CertEngine::I128`.
-    pub(crate) exact_i128: NetworkI128,
-    /// Which engine the last `rebuild_int_only`/`set_alpha_int` targeted.
-    pub(crate) cert_engine: CertEngine,
+    exact_i128: NetworkI128,
+    /// Which engine the last `rebuild`/`set_alpha` targeted.
+    cert_engine: CertEngine,
     /// `p·D` of the current integer build (positive when valid).
     pub(crate) int_scale: BigInt,
     /// `D` = lcm of the alive weights' denominators (α-independent part of
@@ -366,34 +388,23 @@ pub(crate) struct RoundNets {
     /// Sum of the integer source capacities `Σ w_v·D·p` — the feasibility
     /// target: the scaled network saturates its sources iff the max flow
     /// equals this.
-    pub(crate) int_source_total: BigInt,
-    /// Per alive vertex: `(v, sink edge, f64 sink edge)`. The sink edge is
-    /// valid for whichever engine built last (`exact` after
-    /// [`RoundNets::rebuild`], `exact_int` after
-    /// [`RoundNets::rebuild_int_only`] — the two add arcs in the same order,
-    /// so the ids coincide).
-    ///
-    /// The f64 `EdgeId` is only meaningful after a full [`RoundNets::rebuild`]
-    /// — an integer-only rebuild records a placeholder and flips
-    /// `approx_valid` off.
-    pub(crate) sink_edges: Vec<(VertexId, EdgeId, EdgeId)>,
-    /// Per alive vertex: `(v, exact source edge)`, in `alive` order.
-    pub(crate) source_edges: Vec<(VertexId, EdgeId)>,
-    /// The exact middle arcs `(v, u, edge left(v)→right(u))`, sorted
+    int_source_total: BigInt,
+    /// Per alive vertex: `(v, sink edge)`, in `alive` order. Both engines
+    /// add arcs in the same order, so the ids are valid for whichever
+    /// engine built last.
+    sink_edges: Vec<(VertexId, EdgeId)>,
+    /// Per alive vertex: `(v, source edge)`, in `alive` order.
+    source_edges: Vec<(VertexId, EdgeId)>,
+    /// The middle arcs `(v, u, edge left(v)→right(u))`, sorted
     /// lexicographically by `(v, u)` (alive iteration is ascending and
     /// neighbor lists are sorted). The session reads the certifying flow
     /// off these arcs and seeds the next warm start from it.
     pub(crate) mid_edges: Vec<(VertexId, VertexId, EdgeId)>,
-    /// Whether `approx` mirrors the current alive set (exact-only rebuilds
-    /// leave it stale).
-    approx_valid: bool,
 }
 
 impl RoundNets {
     pub(crate) fn new(n_nodes: usize) -> Self {
         RoundNets {
-            exact: FlowNetwork::new(n_nodes),
-            approx: NetworkF64::new(n_nodes),
             exact_int: NetworkInt::new(n_nodes),
             exact_i128: NetworkI128::new(n_nodes),
             cert_engine: CertEngine::Int,
@@ -404,71 +415,13 @@ impl RoundNets {
             sink_edges: Vec::new(),
             source_edges: Vec::new(),
             mid_edges: Vec::new(),
-            approx_valid: false,
         }
     }
 
-    // prs-lint: allow(float, reason = "two-tier proposer: the approx network is built from to_f64 images and only ever proposes; certification is exact")
-    /// Rebuild both networks for the induced subgraph on `alive` at `alpha`.
+    /// Build the scaled-integer network for the induced subgraph on `alive`
+    /// at `alpha = p/q`: the `p·D` scaling described on [`RoundNets`], on
+    /// the `i128` engine when the capacities admit and on BigInt otherwise.
     pub(crate) fn rebuild(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
-        let layout = Layout { n: g.n() };
-        let alpha_f = alpha.to_f64();
-        self.exact.clear(layout.nodes());
-        self.approx.clear(layout.nodes());
-        self.approx_valid = true;
-        self.sink_edges.clear();
-        self.source_edges.clear();
-        self.mid_edges.clear();
-        for v in alive.iter() {
-            let w = g.weight(v);
-            let s = self
-                .exact
-                .add_edge(Layout::S, layout.left(v), Cap::Finite(w.clone()));
-            let e = self
-                .exact
-                .add_edge(layout.right(v), Layout::T, Cap::Finite(w / alpha));
-            self.approx.add_edge(Layout::S, layout.left(v), w.to_f64());
-            let a = self
-                .approx
-                .add_edge(layout.right(v), Layout::T, w.to_f64() / alpha_f);
-            self.sink_edges.push((v, e, a));
-            self.source_edges.push((v, s));
-            for &u in g.neighbors(v) {
-                if alive.contains(u) {
-                    let m = self
-                        .exact
-                        .add_edge(layout.left(v), layout.right(u), Cap::Infinite);
-                    self.mid_edges.push((v, u, m));
-                    self.approx
-                        .add_edge(layout.left(v), layout.right(u), f64::INFINITY);
-                }
-            }
-        }
-    }
-
-    /// Re-parameterize the exact network to `alpha` (sink caps + flow reset).
-    pub(crate) fn set_alpha_exact(&mut self, g: &Graph, alpha: &Rational) {
-        for &(v, e, _) in &self.sink_edges {
-            self.exact.set_capacity(e, Cap::Finite(g.weight(v) / alpha));
-        }
-        self.exact.reset_flow();
-    }
-
-    /// Rebuild only the scaled-integer network at `alpha = p/q` — the
-    /// session's warm certification path. Every capacity is multiplied by
-    /// the positive constant `p·D`, where `D` is the lcm of the alive
-    /// weights' denominators: source arcs carry `(w_v·D)·p`, sink arcs
-    /// `(w_v·D)·q`, middle arcs stay infinite — all integers, so Dinic runs
-    /// gcd-free. Uniform positive scaling preserves the feasibility
-    /// decision, min cuts, and residual reachability of the rational
-    /// network, so every set extracted here is bit-identical to what
-    /// [`RoundNets::rebuild_exact_only`] at the same `alpha` would yield.
-    ///
-    /// Arcs are added in the exact same order as `rebuild_inner`, so the
-    /// `EdgeId`s recorded in `source_edges` / `sink_edges` / `mid_edges`
-    /// are valid for `exact_int`.
-    pub(crate) fn rebuild_int_only(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
-        self.approx_valid = false;
         self.int_weights.clear();
         let mut d = BigUint::one();
         for v in alive.iter() {
@@ -505,8 +458,8 @@ impl RoundNets {
     }
 
     /// Add the certification arcs to the BigInt engine. Arc order matches
-    /// `rebuild` / `build_arcs_i128`, so the recorded `EdgeId`s are valid
-    /// for whichever engine built last.
+    /// `build_arcs_i128`, so the recorded `EdgeId`s are valid for whichever
+    /// engine built last.
     fn build_arcs_int(&mut self, g: &Graph, alive: &VertexSet, caps: &[(BigInt, BigInt)]) {
         let layout = Layout { n: g.n() };
         self.cert_engine = CertEngine::Int;
@@ -525,7 +478,7 @@ impl RoundNets {
                 Layout::T,
                 CapInt::Finite(caps[i].1.clone()),
             );
-            self.sink_edges.push((v, e, EdgeId::default()));
+            self.sink_edges.push((v, e));
             self.source_edges.push((v, s));
             for &u in g.neighbors(v) {
                 if alive.contains(u) {
@@ -555,7 +508,7 @@ impl RoundNets {
             let e =
                 self.exact_i128
                     .add_edge(layout.right(v), Layout::T, CapI128::Finite(caps[i].1));
-            self.sink_edges.push((v, e, EdgeId::default()));
+            self.sink_edges.push((v, e));
             self.source_edges.push((v, s));
             for &u in g.neighbors(v) {
                 if alive.contains(u) {
@@ -570,13 +523,13 @@ impl RoundNets {
         }
     }
 
-    /// Re-parameterize the integer network to `alpha = p'/q'`. Unlike the
-    /// rational network, *both* arc families depend on α here (source caps
-    /// carry the `p` factor of the scale), so both are rewritten; `D` and
-    /// the arc structure are untouched. An i128-tier round whose new
-    /// capacities no longer fit promotes to BigInt here (the descent can
-    /// only shrink `p`, but `q` can grow without bound).
-    pub(crate) fn set_alpha_int(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
+    /// Re-parameterize the network to `alpha = p'/q'`. Both arc families
+    /// depend on α here (source caps carry the `p` factor of the scale), so
+    /// both are rewritten; `D` and the arc structure are untouched. An
+    /// i128-tier round whose new capacities no longer fit promotes to BigInt
+    /// here (the descent can only shrink `p`, but `q` can grow without
+    /// bound).
+    pub(crate) fn set_alpha(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
         let p = alpha.numer();
         let q = BigInt::from_parts(Sign::Plus, alpha.denom().clone());
         debug_assert!(p.is_positive(), "bottleneck ratios are positive");
@@ -630,12 +583,7 @@ impl RoundNets {
     /// network at the same α — any seed installed on the i128 network is
     /// gone, so callers must drop their seeded-flow bookkeeping when the
     /// flag comes back `true`.
-    pub(crate) fn cert_max_flow(
-        &mut self,
-        g: &Graph,
-        alive: &VertexSet,
-        alpha: &Rational,
-    ) -> (BigInt, bool) {
+    fn cert_max_flow(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) -> (BigInt, bool) {
         match self.cert_engine {
             CertEngine::I128 => {
                 let flow = self.exact_i128.max_flow(Layout::S, Layout::T);
@@ -665,7 +613,7 @@ impl RoundNets {
     }
 
     /// Engine-dispatched [`prs_flow::Network::residual_reaches_sink`].
-    pub(crate) fn cert_residual_reaches_sink(&self) -> Vec<bool> {
+    fn cert_residual_reaches_sink(&self) -> Vec<bool> {
         match self.cert_engine {
             CertEngine::I128 => self.exact_i128.residual_reaches_sink(Layout::T),
             CertEngine::Int => self.exact_int.residual_reaches_sink(Layout::T),
@@ -673,7 +621,7 @@ impl RoundNets {
     }
 
     /// Engine-dispatched [`prs_flow::Network::min_cut_source_side`].
-    pub(crate) fn cert_min_cut_source_side(&self) -> Vec<bool> {
+    fn cert_min_cut_source_side(&self) -> Vec<bool> {
         match self.cert_engine {
             CertEngine::I128 => self.exact_i128.min_cut_source_side(Layout::S),
             CertEngine::Int => self.exact_int.min_cut_source_side(Layout::S),
@@ -688,17 +636,70 @@ impl RoundNets {
         }
     }
 
-    /// Seed the active certification engine with the given flow requests
-    /// (desired amounts in scaled BigInt units), returning the total flow
-    /// actually installed.
+    /// Preload the network with a cached certifying flow pattern, rescaled
+    /// from the cached weights to the current ones and into the `p·D`
+    /// integer units, returning the seeded flow value (the amount already
+    /// routed s→t, in scaled units). `support` lists the cached middle arcs
+    /// as `(v, u, flow, w_v-then)`; arcs that left the alive subgraph are
+    /// skipped.
     ///
-    /// On the i128 tier each `desired` is narrowed with a clamp to
-    /// `i128::MAX`: the kernel's `seed_flow` caps every request by the
-    /// remaining source supply and sink room, and those are bounded by
-    /// endpoint totals the admission check proved fit — so the clamp can
-    /// never change the installed amount, only the (ignored) excess of the
-    /// request.
-    pub(crate) fn cert_seed_flow(&mut self, seeds: &[SeedArc<BigInt>]) -> BigInt {
+    /// Each middle arc requests `⌊flow·(w'_v/w_v)·pD⌋`; the kernel's
+    /// [`seed_flow`](prs_flow::Network::seed_flow) clamps the requests to
+    /// the remaining capacity and installs a valid (capacity-respecting,
+    /// conserving) flow. The floor loses at most one scaled unit per arc,
+    /// which the certification max-flow recovers from the residual graph:
+    /// Dinic completes **any** valid flow to a maximum flow, so seeding
+    /// changes only how many augmenting paths are needed, never the result.
+    ///
+    /// On the i128 tier each request is narrowed with a clamp to
+    /// `i128::MAX`: `seed_flow` caps every request by the remaining source
+    /// supply and sink room, and those are bounded by endpoint totals the
+    /// admission check proved fit — so the clamp can never change the
+    /// installed amount, only the (ignored) excess of the request.
+    fn seed_support(
+        &mut self,
+        g: &Graph,
+        alive: &VertexSet,
+        support: &[(VertexId, VertexId, Rational, Rational)],
+    ) -> BigInt {
+        if support.is_empty() {
+            return BigInt::zero();
+        }
+        debug_assert!(self.int_scale.is_positive());
+        let mut seeds = Vec::with_capacity(support.len());
+        for (v, u, f, w_then) in support {
+            let (v, u) = (*v, *u);
+            if !alive.contains(v) || !alive.contains(u) {
+                continue;
+            }
+            let Ok(mid) = self
+                .mid_edges
+                .binary_search_by(|probe| (probe.0, probe.1).cmp(&(v, u)))
+            else {
+                continue; // edge no longer present (different topology)
+            };
+            let Ok(vpos) = self.source_edges.binary_search_by(|probe| probe.0.cmp(&v)) else {
+                continue;
+            };
+            let Ok(upos) = self.sink_edges.binary_search_by(|probe| probe.0.cmp(&u)) else {
+                continue;
+            };
+            let w_now = g.weight(v);
+            // desired = ⌊ f · (w'_v / w_v) · p·D ⌋, assembled numerator over
+            // denominator so there is exactly one big division per arc.
+            let num = &(&(f.numer() * w_now.numer())
+                * &BigInt::from_parts(Sign::Plus, w_then.denom().clone()))
+                * &self.int_scale;
+            let den = &(&BigInt::from_parts(Sign::Plus, f.denom().clone())
+                * &BigInt::from_parts(Sign::Plus, w_now.denom().clone()))
+                * w_then.numer();
+            seeds.push(SeedArc {
+                source_edge: self.source_edges[vpos].1,
+                mid_edge: self.mid_edges[mid].2,
+                sink_edge: self.sink_edges[upos].1,
+                desired: &num / &den,
+            });
+        }
         match self.cert_engine {
             CertEngine::I128 => {
                 let narrowed: Vec<SeedArc<i128>> = seeds
@@ -716,22 +717,12 @@ impl RoundNets {
                 BigInt::from(total)
             }
             CertEngine::Int => {
-                let total = self.exact_int.seed_flow(seeds);
+                let total = self.exact_int.seed_flow(&seeds);
                 debug_assert!(self.exact_int.check_capacities());
                 debug_assert!(self.exact_int.check_conservation(Layout::S, Layout::T));
                 total
             }
         }
-    }
-
-    // prs-lint: allow(float, reason = "two-tier proposer: re-parameterizes the approx network only; certification is exact")
-    /// Re-parameterize the float network to `alpha_f`.
-    fn set_alpha_f64(&mut self, g: &Graph, alpha_f: f64) {
-        debug_assert!(self.approx_valid, "float network is stale");
-        for &(v, _, a) in &self.sink_edges {
-            self.approx.set_capacity(a, g.weight(v).to_f64() / alpha_f);
-        }
-        self.approx.reset_flow();
     }
 }
 
@@ -756,154 +747,95 @@ fn admit_i128(caps: &[(BigInt, BigInt)]) -> Option<Vec<(i128, i128)>> {
     Some(out)
 }
 
-// prs-lint: allow(float, reason = "tier-1 proposer: every candidate it returns is re-certified by an exact max-flow before adoption (see maximal_bottleneck)")
-/// Tier 1: run the Dinkelbach descent on the float network and return a
-/// candidate bottleneck set, or `None` when the float loop stalls or
-/// produces nothing usable (the exact tier then starts from α₀ unchanged).
-///
-/// The parameter values fed to the float network are `to_f64` images of
-/// *exact* α-ratios of actual vertex sets, so the returned candidate always
-/// corresponds to a well-defined exact ratio for the certification pass.
-fn propose_f64(
-    g: &Graph,
-    alive: &VertexSet,
-    alpha0: &Rational,
-    nets: &mut RoundNets,
-) -> Option<VertexSet> {
-    let _sp = prs_trace::span("bd", "f64_propose");
-    let layout = Layout { n: g.n() };
-    let w_alive_f: f64 = alive.iter().map(|v| g.weight(v).to_f64()).sum();
-    let tol = 1e-9 * (1.0 + w_alive_f);
-    let mut alpha_f = alpha0.to_f64();
-    if alpha_f.is_nan() || alpha_f <= 0.0 {
-        return None; // α₀ underflowed: nothing useful to propose
-    }
-    let mut last_violating: Option<VertexSet> = None;
-
-    // The exact descent takes at most |alive| strictly decreasing steps;
-    // give the float loop the same budget plus slack, then give up.
-    for _ in 0..alive.len() + 4 {
-        nets.set_alpha_f64(g, alpha_f);
-        let flow = nets.approx.max_flow(Layout::S, Layout::T);
-        if flow >= w_alive_f - tol {
-            // Float-feasible: extract the unreachable set as the candidate
-            // maximal bottleneck. Empty (float α slipped strictly below the
-            // optimum, every source arc has slack) falls back to the last
-            // violating set.
-            let reaches = nets.approx.residual_reaches_sink(Layout::T);
-            let mut b = VertexSet::empty(g.n());
-            for v in alive.iter() {
-                if !reaches[layout.left(v)] {
-                    b.insert(v);
-                }
-            }
-            if !b.is_empty() {
-                return Some(b);
-            }
-            return last_violating;
-        }
-        let side = nets.approx.min_cut_source_side(Layout::S);
-        let mut s_set = VertexSet::empty(g.n());
-        for v in alive.iter() {
-            if side[layout.left(v)] {
-                s_set.insert(v);
-            }
-        }
-        if s_set.is_empty() {
-            return last_violating;
-        }
-        let new_alpha_f = g.alpha_ratio_in(&s_set, alive)?.to_f64();
-        if new_alpha_f.is_nan() || new_alpha_f <= 0.0 || new_alpha_f >= alpha_f {
-            // No float-visible progress (near-tie or rounding): stop and let
-            // the exact tier certify what we have.
-            return Some(s_set);
-        }
-        alpha_f = new_alpha_f;
-        last_violating = Some(s_set);
-    }
-    last_violating
+/// A settled Dinkelbach descent (see [`certify_with_candidate`]).
+pub(crate) struct Certified {
+    /// The maximal tight set at `alpha`. Empty only when a *predicted*
+    /// candidate ratio undershot the round optimum on the first try.
+    pub(crate) b: VertexSet,
+    /// The certified ratio.
+    pub(crate) alpha: Rational,
+    /// False iff the candidate failed certification and the descent ran.
+    pub(crate) first_try: bool,
 }
 
-/// Find the maximal bottleneck of the induced subgraph on `alive` — the
-/// two-tier engine.
+/// Certify a candidate ratio `α̂` on the round's scaled-integer network,
+/// seeded from `support` (a previous certifying flow pattern), descending
+/// exactly while infeasible. This is the one Dinkelbach loop of the crate's
+/// production path: cold rounds start it at `α₀ = α(V_alive)` with no seed
+/// ([`maximal_bottleneck`]), the session's warm starts at the ratio of a
+/// cached bottleneck seeded from its certifying flow, and delta
+/// recertification at the previous bottleneck's (or a stability cell's)
+/// ratio.
 ///
-/// Tier 1 ([`propose_f64`]) runs the Dinkelbach descent approximately and
-/// proposes a candidate set `B̂`; its **exact** ratio `α̂ = α(B̂)` seeds
-/// tier 2. Tier 2 is the unchanged exact descent: certify feasibility at
-/// the current α with one exact max-flow; on success extract the maximal
-/// tight set from the exact residual graph, otherwise read a violating set
-/// off the exact min cut and descend. Correctness is by construction:
+/// The candidate decides only where the descent starts, never the result:
 ///
-/// * `α̂ = α(B̂) ≥ α* = min_S α(S)` for *any* set `B̂`, so seeding never
-///   undershoots;
-/// * if `α̂ = α*`, the first certification flow is feasible and extraction
-///   happens on the exact network at the exact optimum — identical to what
-///   the single-tier engine extracts (the maximal tight set is unique);
-/// * if `α̂ > α*`, certification fails and the exact descent proceeds as if
-///   it had started there — every subsequent step is exact.
+/// * a feasible flow with a nonempty tight set proves `α̂` is the round
+///   optimum (some set attains it), and the maximal tight set extracted from
+///   the residual graph is unique (DESIGN.md §3.1);
+/// * infeasibility proves `α̂` is above the optimum, and the min cut yields
+///   a violating set whose ratio is strictly smaller and still `≥ α*`;
+/// * a feasible flow with an *empty* tight set means `α̂` sits strictly
+///   below the optimum. The ratio `α(S)` of a real set never does, so only
+///   a prediction (a stability-cell evaluation) can: the result then comes
+///   back with an empty `b` and `first_try` set, and the caller retries
+///   with an exact candidate ratio.
 ///
-/// The float tier can therefore change only *how fast* the optimum is
-/// reached (one exact flow on a hit instead of a full descent), never the
-/// result.
-pub(crate) fn maximal_bottleneck(
+/// The seed is clamped to the current capacities by the kernel, so a stale
+/// `support` costs augmenting paths, never correctness.
+pub(crate) fn certify_with_candidate(
     g: &Graph,
     alive: &VertexSet,
     round: usize,
     nets: &mut RoundNets,
-) -> Result<(VertexSet, Rational), BdError> {
+    alpha_hat: Rational,
+    support: &[(VertexId, VertexId, Rational, Rational)],
+) -> Result<Certified, BdError> {
     let layout = Layout { n: g.n() };
-    let w_alive = g.set_weight_of(alive);
-    debug_assert!(!w_alive.is_zero());
-
-    // prs-lint: allow(panic, reason = "decompose() rejects zero-weight alive sets before every round, so the ratio is defined")
-    let alpha0 = g
-        .alpha_ratio_in(alive, alive)
-        .expect("w(alive) > 0 checked by caller");
-    if alpha0.is_zero() {
-        return Err(BdError::ZeroAlpha { round });
-    }
-    nets.rebuild(g, alive, &alpha0);
-
-    // Tier 1: float proposal, adopted only when its exact ratio is a valid
-    // descent seed (0 < α̂ ≤ 1; anything else keeps α₀).
-    let mut alpha = alpha0.clone();
-    let mut proposed = false;
-    if let Some(candidate) = propose_f64(g, alive, &alpha0, nets) {
-        if let Some(alpha_hat) = g.alpha_ratio_in(&candidate, alive) {
-            if alpha_hat.is_positive() && alpha_hat <= Rational::one() {
-                alpha = alpha_hat;
-                proposed = true;
-            }
-        }
-    }
-
-    // Tier 2: exact certification / descent.
+    nets.rebuild(g, alive, &alpha_hat);
+    let mut seeded = nets.seed_support(g, alive, support);
+    let mut alpha = alpha_hat;
     let mut first = true;
     loop {
         stats::record_dinkelbach_iterations(1);
         let mut sp = prs_trace::span("bd", "dinkelbach_iter");
-        sp.attr("engine", || "two_tier".to_string());
-        nets.set_alpha_exact(g, &alpha);
-        let flow = nets.exact.max_flow(Layout::S, Layout::T);
-        if flow == w_alive {
-            if proposed && first {
-                stats::record_fast_path_hits(1);
-            }
-            let reaches = nets.exact.residual_reaches_sink(Layout::T);
+        if !first {
+            nets.set_alpha(g, alive, &alpha);
+        }
+        let (mut flow, promoted) = nets.cert_max_flow(g, alive, &alpha);
+        let engine = nets.cert_engine.label();
+        sp.attr("engine", || engine.to_string());
+        if promoted {
+            // A runtime overflow discarded the i128 network mid-round — and
+            // with it any seed installed there; the BigInt rerun pushed its
+            // whole flow from zero, so nothing must be added back.
+            seeded = BigInt::zero();
+        }
+        if first {
+            // `max_flow` reports only the flow it pushed on top of the seed.
+            flow += &seeded;
+        }
+        // Feasible iff the sources saturate: max flow = Σ (w_v·D)·p.
+        if flow == nets.int_source_total {
+            let reaches = nets.cert_residual_reaches_sink();
             let mut b = VertexSet::empty(g.n());
             for v in alive.iter() {
                 if !reaches[layout.left(v)] {
                     b.insert(v);
                 }
             }
-            debug_assert!(!b.is_empty(), "a tight set must exist at the optimum");
-            return Ok((b, alpha));
+            debug_assert!(
+                first || !b.is_empty(),
+                "a tight set must exist at the optimum"
+            );
+            return Ok(Certified {
+                b,
+                alpha,
+                first_try: first,
+            });
         }
-        if proposed && first {
-            stats::record_fast_path_fallbacks(1);
-        }
+        // Infeasible: the s-side of the min cut yields a violating set.
         first = false;
-        let side = nets.exact.min_cut_source_side(Layout::S);
+        let side = nets.cert_min_cut_source_side();
         let mut s_set = VertexSet::empty(g.n());
         for v in alive.iter() {
             if side[layout.left(v)] {
@@ -925,45 +857,63 @@ pub(crate) fn maximal_bottleneck(
     }
 }
 
+/// Find the maximal bottleneck of the induced subgraph on `alive` and its
+/// α-ratio, cold: the [`certify_with_candidate`] descent started at
+/// `α₀ = α(V_alive)` with no seed flow. Every step runs on the
+/// scaled-integer network, on `i128` unless the round promotes.
+pub(crate) fn maximal_bottleneck(
+    g: &Graph,
+    alive: &VertexSet,
+    round: usize,
+    nets: &mut RoundNets,
+) -> Result<(VertexSet, Rational), BdError> {
+    // prs-lint: allow(panic, reason = "decompose() rejects zero-weight alive sets before every round, so the ratio is defined")
+    let alpha0 = g
+        .alpha_ratio_in(alive, alive)
+        .expect("w(alive) > 0 checked by caller");
+    if alpha0.is_zero() {
+        return Err(BdError::ZeroAlpha { round });
+    }
+    let c = certify_with_candidate(g, alive, round, nets, alpha0, &[])?;
+    Ok((c.b, c.alpha))
+}
+
 /// Compute the bottleneck decomposition of `g` (Definition 2), exactly.
 ///
-/// This is the two-tier engine: a floating-point Dinkelbach pass proposes
-/// each round's optimum, one exact max-flow certifies it, and any
-/// disagreement falls back to the exact descent — so the result is
-/// bit-identical to [`decompose_exact`] while typically an order of
-/// magnitude cheaper in exact arithmetic. Flow networks are rebuilt in
-/// place across rounds and re-parameterized capacity-only inside each
-/// round's descent.
+/// Each round runs the Dinkelbach descent from `α₀ = α(V_alive)` on the
+/// scaled-integer feasibility network ([`RoundNets`]): capacities are
+/// multiplied by `p·D` so every flow step is integer arithmetic, on checked
+/// `i128` words unless the round's capacities do not fit, in which case it
+/// promotes to BigInt. Scaling changes no decision, so the result is
+/// bit-identical to [`decompose_exact`] while avoiding its gcd-normalized
+/// rational arithmetic. The network is rebuilt in place across rounds and
+/// re-parameterized capacity-only inside each round's descent.
 ///
 /// Errors on the degenerate inputs for which the decomposition is undefined:
 /// empty graphs, subgraphs whose minimum α-ratio is 0 (isolated
 /// positive-weight agents), or residues of total weight 0.
 pub fn decompose(g: &Graph) -> Result<BottleneckDecomposition, BdError> {
-    decompose_driver(g, true)
+    let mut nets = RoundNets::new(2 + 2 * g.n().max(1));
+    drive(g, |g, alive, round| {
+        maximal_bottleneck(g, alive, round, &mut nets)
+    })
 }
 
 /// Compute the bottleneck decomposition with the single-tier exact engine:
-/// every Dinkelbach step is an exact max-flow on a freshly built network.
+/// every Dinkelbach step is an exact max-flow on a freshly built rational
+/// network.
 ///
 /// Kept as the reference implementation; `decompose` must agree with it on
 /// every input (asserted by the cross-engine property suite).
 pub fn decompose_exact(g: &Graph) -> Result<BottleneckDecomposition, BdError> {
-    decompose_driver(g, false)
-}
-
-fn decompose_driver(g: &Graph, two_tier: bool) -> Result<BottleneckDecomposition, BdError> {
-    let mut nets = two_tier.then(|| RoundNets::new(2 + 2 * g.n().max(1)));
-    drive(g, |g, alive, round| match &mut nets {
-        Some(nets) => maximal_bottleneck(g, alive, round, nets),
-        None => maximal_bottleneck_exact(g, alive, round),
-    })
+    drive(g, maximal_bottleneck_exact)
 }
 
 /// The shared round loop of every decomposition engine: peel maximal
 /// bottlenecks off the alive set until it is empty, classifying vertices as
 /// it goes. `solve_round(g, alive, round)` supplies each round's
-/// `(B, α)` — the single-tier descent, the two-tier engine, or the session's
-/// warm-started solver.
+/// `(B, α)` — the rational reference descent, the scaled-integer descent, or
+/// the session's warm-started solver.
 pub(crate) fn drive<F>(g: &Graph, mut solve_round: F) -> Result<BottleneckDecomposition, BdError>
 where
     F: FnMut(&Graph, &VertexSet, usize) -> Result<(VertexSet, Rational), BdError>,

@@ -1,19 +1,23 @@
 //! The checked-i128 certification fast tier: routing and promotion.
 //!
-//! The session's warm certification path now tries the `i128` engine
-//! before BigInt. Two things must hold: shipped-scale instances run
-//! entirely on the fast tier (promotion count exactly zero), and
-//! adversarial scale separation promotes — with results bit-identical to
-//! the cold rational engine either way.
+//! Every decomposition round — cold `decompose`, the session's warm
+//! certification, delta recertification — runs on the scaled-integer
+//! ladder: the `i128` engine first, BigInt on promotion. Two things must
+//! hold on both the warm and the cold path: shipped-scale instances run
+//! entirely on the fast tier (promotion count exactly zero, and no
+//! rational max-flow at all), and adversarial scale separation promotes —
+//! with results bit-identical to the rational reference engine either way.
 //!
-//! Both phases live in a single `#[test]`: the promotion counter is
+//! All phases live in a single `#[test]`: the promotion counter is
 //! process-global, so a concurrently running promoting test would make a
 //! "promotions == 0" window assertion flaky.
 
-use prs_bd::{decompose, DecompositionSession, SessionConfig};
+use prs_bd::{decompose, decompose_exact, DecompositionSession, SessionConfig};
 use prs_flow::stats;
-use prs_graph::builders;
+use prs_graph::{builders, random};
 use prs_numeric::{int, Rational};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn pow2(e: i32) -> Rational {
     Rational::from_integer(2).pow(e)
@@ -61,5 +65,43 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     assert!(
         delta.i128_promotions > 0,
         "400-bit scale separation must promote to BigInt: {delta:?}"
+    );
+    // Phase 3 — cold decompose at shipped scale: random rings n = 128 with
+    // weights 1–100 never leave the i128 tier, so no rational (or BigInt)
+    // max-flow runs at all. The rational backend is out of the production
+    // path.
+    let mut rng = StdRng::seed_from_u64(128);
+    let rings: Vec<_> = (0..4)
+        .map(|_| random::random_ring(&mut rng, 128, 1, 100))
+        .collect();
+    let before = stats::snapshot();
+    let cold: Vec<_> = rings.iter().map(|g| decompose(g).unwrap()).collect();
+    let delta = stats::snapshot().since(&before);
+    assert_eq!(
+        delta.exact_max_flows, 0,
+        "cold decompose must not run a rational or BigInt flow: {delta:?}"
+    );
+    assert_eq!(
+        delta.i128_promotions, 0,
+        "small-weight cold rounds must not promote: {delta:?}"
+    );
+    assert!(delta.i128_max_flows > 0, "{delta:?}");
+    for (g, bd) in rings.iter().zip(&cold) {
+        assert_eq!(*bd, decompose_exact(g).unwrap());
+    }
+
+    // Phase 4 — cold decompose on the 2^±200 family promotes too, and stays
+    // bit-identical to the rational reference.
+    let before = stats::snapshot();
+    for j in 0..2i32 {
+        let eps = pow2(-200 - j);
+        let big = pow2(200 + j);
+        let g = builders::ring(vec![eps.clone(), int(1), int(1), big, eps]).unwrap();
+        assert_eq!(decompose(&g).unwrap(), decompose_exact(&g).unwrap());
+    }
+    let delta = stats::snapshot().since(&before);
+    assert!(
+        delta.i128_promotions > 0,
+        "cold rounds on 400-bit scale separation must promote: {delta:?}"
     );
 }

@@ -8,8 +8,9 @@
 //! cargo run --release -p prs-bench --bin experiments bench     # BENCH_seed.json
 //! ```
 //!
-//! The `bench` target times the exact engine against the two-tier
-//! (float-prefiltered) engine and writes the measurements plus the
+//! The `bench` target times the rational reference engine
+//! (`decompose_exact`) against the production engine (`decompose`, the
+//! scaled-integer ladder) and writes the measurements plus the
 //! flow-instrumentation counters to `BENCH_seed.json` (override the path
 //! with the `BENCH_JSON` environment variable).
 
@@ -251,7 +252,7 @@ fn main() {
         e18_collusion();
     }
     if run("bench") {
-        bench_two_tier(quick);
+        bench_engines(quick);
     }
 }
 
@@ -1174,13 +1175,14 @@ fn e18_collusion() {
     );
 }
 
-/// `bench` — the exact engine vs the two-tier (float-prefiltered) engine on
-/// the decomposition hot path, plus the flow-instrumentation counters,
-/// written to `BENCH_seed.json`.
+/// `bench` — the rational reference engine (`decompose_exact`) vs the
+/// production engine (`decompose`: the Dinkelbach descent on the
+/// scaled-integer i128 → BigInt ladder) on the decomposition hot path, plus
+/// the flow-instrumentation counters, written to `BENCH_seed.json`.
 ///
-/// Both engines return bit-identical decompositions (the float tier only
-/// proposes; an exact pass certifies — see DESIGN.md §3.1), so the timings
-/// compare two routes to the same answer. The "sybil" rows time the
+/// Both engines return bit-identical decompositions (uniform scaling
+/// changes no flow decision — see DESIGN.md §3.1), so the timings compare
+/// two routes to the same answer. The "sybil" rows time the
 /// decomposition of split rings — the inner loop of every attack optimizer.
 ///
 /// A second set of "session workloads" times whole sweeps and attack
@@ -1188,15 +1190,15 @@ fn e18_collusion() {
 /// against session-less cold runs (`warm_start(false)`,
 /// `cache_capacity(0)`), asserting identical results and recording the
 /// `session_hits`/`session_misses`/`session_warm_starts` counter deltas.
-fn bench_two_tier(quick: bool) {
-    use prs_core::bd::{decompose as decompose_two_tier, decompose_exact};
+fn bench_engines(quick: bool) {
+    use prs_core::bd::{decompose, decompose_exact};
     use prs_core::flow::stats;
     use prs_core::sybil::SybilSplitFamily;
     use std::time::Instant;
 
     header(
         "bench",
-        "two-tier vs exact decomposition engine → BENCH_seed.json",
+        "decompose vs the rational reference engine → BENCH_seed.json",
     );
 
     let reps = std::env::var("BENCH_REPS")
@@ -1223,41 +1225,32 @@ fn bench_two_tier(quick: bool) {
         workloads.push((format!("sybil-split/n={n}"), split));
     }
 
-    let mut t = Table::new(&[
-        "instance",
-        "exact ms",
-        "two-tier ms",
-        "speedup",
-        "fast-path hits",
-        "fallbacks",
-    ]);
+    let mut t = Table::new(&["instance", "exact ms", "decompose ms", "speedup"]);
     let mut rows: Vec<String> = Vec::new();
     for (name, g) in &workloads {
         let want = decompose_exact(g).unwrap();
-        let got = decompose_two_tier(g).unwrap();
+        let got = decompose(g).unwrap();
         assert_eq!(want.shape(), got.shape(), "{name}: engines disagree");
         let exact_ms = median_ms(reps, || decompose_exact(g).unwrap());
         let before = stats::snapshot();
-        let two_tier_ms = median_ms(reps, || decompose_two_tier(g).unwrap());
+        let decompose_ms = median_ms(reps, || decompose(g).unwrap());
         let delta = stats::snapshot().since(&before);
-        let speedup = exact_ms / two_tier_ms;
+        let speedup = exact_ms / decompose_ms;
         t.row(vec![
             name.clone(),
             format!("{exact_ms:.3}"),
-            format!("{two_tier_ms:.3}"),
+            format!("{decompose_ms:.3}"),
             format!("{speedup:.2}×"),
-            delta.fast_path_hits.to_string(),
-            delta.fast_path_fallbacks.to_string(),
         ]);
         rows.push(format!(
             concat!(
                 "    {{\"instance\": \"{}\", \"n\": {}, \"exact_ms\": {:.4}, ",
-                "\"two_tier_ms\": {:.4}, \"speedup\": {:.3}, \"stats\": {}}}"
+                "\"decompose_ms\": {:.4}, \"speedup\": {:.3}, \"stats\": {}}}"
             ),
             name,
             g.n(),
             exact_ms,
-            two_tier_ms,
+            decompose_ms,
             speedup,
             delta.to_json(),
         ));
@@ -1362,7 +1355,7 @@ fn bench_two_tier(quick: bool) {
     };
 
     // One end-to-end number: a full attack optimization (whose inner loop is
-    // thousands of split-ring decompositions) under the two-tier engine.
+    // thousands of split-ring decompositions) under the production engine.
     let attack_n = if quick { 12 } else { 32 };
     let ring = ring_family(9000 + attack_n as u64, 1, attack_n, 1, 50)
         .pop()
@@ -1374,11 +1367,11 @@ fn bench_two_tier(quick: bool) {
     let before = stats::snapshot();
     let attack_ms = median_ms(3, || best_sybil_split(&ring, 0, &cfg));
     let attack_stats = stats::snapshot().since(&before);
-    println!("  end-to-end Sybil attack (n={attack_n}, two-tier): {attack_ms:.1} ms/optimization");
+    println!("  end-to-end Sybil attack (n={attack_n}): {attack_ms:.1} ms/optimization");
 
     // --- session workloads: warm-started sessions vs cold per-call runs ---
     //
-    // "cold" runs the same two-tier per-round engine with warm starts and
+    // "cold" runs the same per-round descent with warm starts and
     // the shape cache disabled, so the delta isolates exactly what the
     // session machinery buys. Results are asserted identical first.
     let mut session_rows: Vec<String> = Vec::new();
@@ -1488,7 +1481,7 @@ fn bench_two_tier(quick: bool) {
     // session owning its instance absorbs Zipf-distributed single-weight
     // re-reports and join/leave edge churn through `apply`, while the cold
     // baseline re-decomposes every mutated graph from scratch with the
-    // same two-tier engine. A verification pass first replays each script
+    // same per-round engine. A verification pass first replays each script
     // asserting per-event bit-identity with cold and tallying the serving
     // tiers; the no-op probe additionally asserts the `Unchanged` tier
     // answers with **zero** flow invocations. The shard row drains the
@@ -1607,7 +1600,7 @@ fn bench_two_tier(quick: bool) {
                     UpdateOutcome::Recomputed => recomp += 1,
                 }
                 apply_delta_to_mirror(&mut mirror, d);
-                let cold = decompose_two_tier(&mirror).expect("churned graph decomposes");
+                let cold = decompose(&mirror).expect("churned graph decomposes");
                 assert_eq!(
                     session.current().expect("session state"),
                     &cold,
@@ -1639,7 +1632,7 @@ fn bench_two_tier(quick: bool) {
             let (graphs, unchanged, recert, recomp) = verify_and_tally(g0, script);
             let cold_ms = median_ms(reps, || {
                 for g in &graphs {
-                    std::hint::black_box(decompose_two_tier(g).unwrap());
+                    std::hint::black_box(decompose(g).unwrap());
                 }
             }) / events as f64;
             let incr_ms = median_ms(reps, || {
@@ -1738,7 +1731,7 @@ fn bench_two_tier(quick: bool) {
             }
             let cold_ms = median_ms(reps, || {
                 for g in &all_graphs {
-                    std::hint::black_box(decompose_two_tier(g).unwrap());
+                    std::hint::black_box(decompose(g).unwrap());
                 }
             }) / total_events as f64;
             let incr_ms = median_ms(reps, || {
@@ -2005,7 +1998,7 @@ fn bench_two_tier(quick: bool) {
             "  \"metrics_counters\": {},\n",
             "  \"metrics_overhead\": [\n{}\n  ],\n",
             "  \"histogram_accuracy\": [\n{}\n  ],\n",
-            "  \"sybil_attack_n{}\": {{\"two_tier_ms\": {:.4}, \"stats\": {}}}\n",
+            "  \"sybil_attack_n{}\": {{\"attack_ms\": {:.4}, \"stats\": {}}}\n",
             "}}\n"
         ),
         quick,

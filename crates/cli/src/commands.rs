@@ -155,8 +155,8 @@ pub fn cmd_general_attack(g: &Graph, v: usize, out: &mut dyn Write) -> std::io::
 
 /// `prs audit`: the full paper-claim battery on a ring instance. With
 /// `stats = true`, also prints the flow-engine instrumentation counters
-/// accumulated while the battery ran (max-flows, Dinkelbach iterations,
-/// fast-path hit rate, arena reuse — see `prs_flow::stats`).
+/// accumulated while the battery ran (max-flows per engine, Dinkelbach
+/// iterations, i128 promotions, arena reuse — see `prs_flow::stats`).
 pub fn cmd_audit(g: &Graph, stats: bool, out: &mut dyn Write) -> std::io::Result<()> {
     if !g.is_ring() {
         writeln!(out, "error: `audit` requires a ring instance")?;
@@ -697,7 +697,10 @@ pub fn cmd_swarm(
     // a grid of Sybil splits probes the best protocol-level deviation.
     let spread = swarm.fairness_spread();
     if spread.is_nan() {
-        writeln!(out, "fairness spread max/min(Ū_v/w_v): n/a (no live capacity)")?;
+        writeln!(
+            out,
+            "fairness spread max/min(Ū_v/w_v): n/a (no live capacity)"
+        )?;
     } else {
         writeln!(out, "fairness spread max/min(Ū_v/w_v) = {spread:.9}")?;
     }
@@ -740,7 +743,10 @@ pub fn cmd_swarm(
             )?;
         }
         Some((live_g, _)) if !live_g.is_ring() => {
-            writeln!(out, "Sybil probe skipped (surviving topology is not a ring)")?;
+            writeln!(
+                out,
+                "Sybil probe skipped (surviving topology is not a ring)"
+            )?;
         }
         Some((live_g, _)) => {
             writeln!(
@@ -1315,7 +1321,10 @@ mod tests {
         let out = capture(|w| cmd_swarm(&ring(), None, None, Some(script), w));
         assert!(out.contains("event 2 @ round 3: join"), "{out}");
         assert!(out.contains("joined as agent 5"), "{out}");
-        assert!(out.contains("event 3 @ round 5: leave(agent 1) → left"), "{out}");
+        assert!(
+            out.contains("event 3 @ round 5: leave(agent 1) → left"),
+            "{out}"
+        );
         assert!(out.contains("converged = true"), "{out}");
         assert!(out.contains("5 live agent(s)"), "{out}");
         // The surviving topology is a 5-ring again, so both cross-checks run.
@@ -1325,15 +1334,19 @@ mod tests {
 
     #[test]
     fn swarm_rejects_malformed_churn_lines() {
-        let out = capture(|w| {
-            cmd_swarm(&ring(), None, None, Some("{\"op\":\"frobnicate\"}"), w)
-        });
+        let out = capture(|w| cmd_swarm(&ring(), None, None, Some("{\"op\":\"frobnicate\"}"), w));
         assert!(
             out.contains("error: script line 1: unknown op `frobnicate`"),
             "{out}"
         );
         let out = capture(|w| {
-            cmd_swarm(&ring(), None, None, Some("{\"op\":\"join\",\"peers\":[0]}"), w)
+            cmd_swarm(
+                &ring(),
+                None,
+                None,
+                Some("{\"op\":\"join\",\"peers\":[0]}"),
+                w,
+            )
         });
         assert!(out.contains("missing field `capacity`"), "{out}");
     }

@@ -5,11 +5,13 @@
 //! over a different number type. [`Capacity`] captures exactly what the
 //! kernel needs from that number type: a zero, reference arithmetic,
 //! the bottleneck ordering, and a *tolerance hook* ([`Capacity::Tol`])
-//! deciding when an arc still has residual headroom. For the exact
-//! backends ([`Rational`], [`BigInt`]) the tolerance is the unit type and
-//! every comparison is exact; the `f64` backend threads a capacity-scaled
-//! epsilon through the same hook (see `network_f64`), so "saturated" means
-//! "within `eps` of capacity" there — and nowhere else.
+//! deciding when an arc still has residual headroom. Every backend in this
+//! crate ([`Rational`], [`BigInt`], `i128`) is exact: its tolerance is the
+//! unit type and every comparison is exact. The hook exists so a tolerant
+//! backend can thread comparison state through the same kernel — the
+//! cross-engine suite runs the kernel on a test-local float capacity that
+//! way, so "saturated" means "within `eps` of capacity" there and nowhere
+//! else.
 //!
 //! The trait also owns the per-engine observability surface: stable span
 //! names, the `engine` span attribute, and the routing of kernel events
@@ -56,7 +58,7 @@ pub trait Capacity: Clone + PartialEq + std::fmt::Debug {
     type Tol: Clone + Default + std::fmt::Debug;
 
     /// Engine label surfaced as the `engine` span attribute
-    /// (`"exact"`, `"int"`, `"f64"`).
+    /// (`"exact"`, `"int"`, `"i128"`).
     const ENGINE: &'static str;
     /// Stable span name for one BFS phase.
     const SPAN_BFS: &'static str;

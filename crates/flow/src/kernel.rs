@@ -341,10 +341,9 @@ impl<C: Capacity> Network<C> {
     /// Compute the maximum `s → t` flow in the backend's arithmetic. The
     /// network must not contain an infinite-capacity `s → t` path; the
     /// Definition 2/5 networks never do (every path crosses a finite source
-    /// or sink arc). Exact backends return the exact optimum; the tolerant
+    /// or sink arc). Exact backends return the exact optimum; a tolerant
     /// backend treats augmentations below its saturation tolerance as zero,
-    /// so its value is within `O(E · eps)` of the true max flow — good
-    /// enough to propose, never to certify.
+    /// so its value is within `O(E · eps)` of the true max flow.
     pub fn max_flow(&mut self, s: NodeId, t: NodeId) -> C {
         assert_ne!(s, t, "source equals sink");
         C::record_max_flow();

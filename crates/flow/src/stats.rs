@@ -19,17 +19,18 @@ use prs_trace::Counter;
 /// A point-in-time copy of every engine counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlowStats {
-    /// Exact-engine Dinic BFS phases.
+    /// Exact-engine (rational and BigInt) Dinic BFS phases.
     pub exact_bfs_phases: u64,
-    /// Exact-engine augmenting paths pushed.
+    /// Exact-engine (rational and BigInt) augmenting paths pushed.
     pub exact_augmenting_paths: u64,
-    /// Exact max-flow computations run to completion.
+    /// Exact (rational and BigInt) max-flow computations run to completion.
     pub exact_max_flows: u64,
-    /// Float-engine Dinic BFS phases.
+    /// Float-engine Dinic BFS phases. No library path runs a float flow;
+    /// the field stays for report-schema stability and reads 0.
     pub f64_bfs_phases: u64,
-    /// Float-engine augmenting paths pushed.
+    /// Float-engine augmenting paths pushed (reads 0, see above).
     pub f64_augmenting_paths: u64,
-    /// Float max-flow computations run to completion.
+    /// Float max-flow computations run to completion (reads 0, see above).
     pub f64_max_flows: u64,
     /// Checked-i128 engine Dinic BFS phases.
     pub i128_bfs_phases: u64,
@@ -43,8 +44,11 @@ pub struct FlowStats {
     /// Exact Dinkelbach descent steps (certifications + fallback steps).
     pub dinkelbach_iterations: u64,
     /// Rounds where the float proposal certified on the first exact flow.
+    /// The float proposer is retired (every round descends on the integer
+    /// ladder); the field stays for report-schema stability and reads 0.
     pub fast_path_hits: u64,
-    /// Rounds where certification failed and the exact descent resumed.
+    /// Rounds where a float proposal failed certification (reads 0, see
+    /// above).
     pub fast_path_fallbacks: u64,
     /// Flow networks built from scratch (fresh arc storage).
     pub networks_built: u64,

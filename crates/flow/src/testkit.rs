@@ -1,10 +1,10 @@
 //! Shared, engine-parameterized test suite for the Dinic kernel.
 //!
-//! One property set, three backends: every deterministic kernel test in
-//! this module is generic over [`TestCapacity`], so the exact, scaled-
-//! integer, and float engines all run the *identical* cases (including
-//! the long-path no-stack-overflow regression that historically covered
-//! only two of the three). Engine test modules instantiate the whole
+//! One property set, every backend: each deterministic kernel test in this
+//! module is generic over [`TestCapacity`], so the rational, BigInt and
+//! checked-`i128` engines all run the *identical* cases (including the
+//! long-path no-stack-overflow regression that historically covered only
+//! two engines). Engine test modules instantiate the whole
 //! suite with [`crate::engine_suite!`]; the proptest harnesses reuse the
 //! building-block helpers ([`integral_network`], [`assert_min_cut_matches`],
 //! …) to cross-check random networks against an oracle per backend.
@@ -12,8 +12,7 @@
 //! The module is float-free by construction: ratios are described as
 //! `num/den` pairs and each backend maps them into its own units — the
 //! scaled-integer backend multiplies through by [`RATIO_SCALE`] (an
-//! lcm(1..=16), so every small test denominator clears exactly), and the
-//! `f64` mapping lives in the float-permitted `network_f64` module.
+//! lcm(1..=16), so every small test denominator clears exactly).
 
 use crate::capacity::{Cap, Capacity};
 use crate::kernel::{Network, NodeId, SeedArc};
@@ -26,7 +25,7 @@ pub trait TestCapacity: Capacity {
     /// denominators always divide [`RATIO_SCALE`].
     fn from_ratio(num: i64, den: i64) -> Self;
     /// Assert two flow values agree (exactly for exact backends, within
-    /// proposal tolerance for the float backend).
+    /// the backend's tolerance for a tolerant one).
     fn assert_feq(actual: &Self, expected: &Self);
 }
 
@@ -503,8 +502,5 @@ mod tests {
     }
     mod i128_engine {
         crate::engine_suite!(i128);
-    }
-    mod f64_engine {
-        crate::engine_suite!(f64);
     }
 }

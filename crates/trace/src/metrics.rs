@@ -23,8 +23,8 @@
 //!    of the most recent spans/instants (attributes included) that keeps
 //!    working under `take()`-free operation. [`anomaly`] dumps the
 //!    calling thread's ring as Chrome trace-event JSON — triggers are
-//!    wired at the i128 overflow poison, the BigInt promotion sites, the
-//!    `Recomputed` delta tier, and SLO breaches.
+//!    wired at the i128 overflow poison, the BigInt promotion sites, and
+//!    SLO breaches.
 //!
 //! Everything is gated by the same single state word as event recording
 //! (see `STATE` in the crate root): with every subsystem off, a span is
@@ -723,7 +723,7 @@ pub fn flight_snapshot() -> Vec<TraceEvent> {
 /// Chrome trace-event JSON under the configured directory.
 ///
 /// Wired triggers: i128 overflow poison (`prs-flow`), BigInt promotion
-/// sites and `Recomputed` delta tier (`prs-bd`), and SLO breaches
+/// sites (`prs-bd`), and SLO breaches
 /// (this module). `kind` names the trigger in the dump filename and the
 /// instant's attributes.
 pub fn anomaly(kind: &'static str) {

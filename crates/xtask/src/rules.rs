@@ -6,9 +6,9 @@
 //!
 //! * `float` — the incentive-ratio proofs need the decomposition to be
 //!   *exact*; no `f64`/`f32` types or float literals may appear in the
-//!   exact kernels. The f64 capacity backend may only *propose*, never
-//!   decide, and is the single `float_boundary_exempt` module where floats
-//!   (and casts into them) are permitted.
+//!   exact kernels. Every flow backend is exact, so the workspace lists no
+//!   `float_boundary_exempt` module (the hook that would carve one out of
+//!   the `float` and `cast` rules stays, exercised by the self-test).
 //! * `cast` — `as` numeric casts truncate silently; exact kernels must use
 //!   `From`/`TryFrom` or carry a range argument in an allow annotation.
 //! * `panic` — library code must push failures into typed errors
@@ -170,10 +170,9 @@ pub struct LintConfig {
     pub float_paths: Vec<String>,
     /// No `as` numeric casts (superset of the exact kernels).
     pub cast_paths: Vec<String>,
-    /// The designated float-backend modules: carved out of *both* the
-    /// `float` and `cast` rules even when a parent directory is covered.
-    /// This is the boundary that makes "floats may propose, never decide"
-    /// checkable — exactly one module in the flow crate may mention `f64`.
+    /// Designated float modules: carved out of *both* the `float` and
+    /// `cast` rules even when a parent directory is covered. Empty for the
+    /// workspace — no module in the exact kernels may mention `f64`.
     pub float_boundary_exempt: Vec<String>,
     /// Library code: no panicking calls outside tests.
     pub panic_paths: Vec<String>,
@@ -218,8 +217,7 @@ impl LintConfig {
             // All big-integer / rational arithmetic.
             "crates/numeric/src".to_string(),
             // The whole flow crate: the generic Dinic kernel, the Capacity
-            // trait, and the exact backends. The one sanctioned float
-            // module is carved back out via `float_boundary_exempt`.
+            // trait, and the (all exact) backends.
             "crates/flow/src".to_string(),
             // The decomposition driver, the session replay/certify paths,
             // and the delta-mutation vocabulary (cells evaluate exact
@@ -234,7 +232,7 @@ impl LintConfig {
         ];
         let mut cast_paths = exact_kernels.clone();
         // The cast rule additionally covers the bd glue: a truncating cast
-        // there can bias proposals systematically, and satellite
+        // there can corrupt a certification network, and satellite
         // instrumentation must state its ranges.
         cast_paths.push("crates/bd/src".to_string());
         LintConfig {
@@ -246,12 +244,10 @@ impl LintConfig {
             ],
             float_paths: exact_kernels,
             cast_paths,
-            // The f64 Capacity backend is the single module allowed to
-            // mention floats or cast into them; everything else in the flow
-            // crate is generic over the Capacity trait and stays exact.
-            // The checked-i128 fast tier (`network_i128.rs`) is deliberately
-            // NOT exempted: it is an exact backend and every rule covers it.
-            float_boundary_exempt: vec!["crates/flow/src/network_f64.rs".to_string()],
+            // No float backend remains in the flow crate: every module
+            // there, the checked-i128 fast tier included, is exact and every
+            // rule covers it.
+            float_boundary_exempt: Vec::new(),
             panic_paths: vec![
                 "crates/numeric/src".into(),
                 "crates/graph/src".into(),

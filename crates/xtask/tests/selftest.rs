@@ -162,9 +162,9 @@ fn flow_kernel_boundary_rules_fire() {
 #[test]
 fn i128_backend_boundary_rules_fire() {
     // The checked-i128 fast tier lives in the kernel directory and is
-    // covered by every boundary rule (only `network_f64.rs` is carved
-    // out): a fixture twin leaking floats, lossy casts, or panics past
-    // the checked-arithmetic boundary must trip them all.
+    // covered by every boundary rule (nothing there is carved out): a
+    // fixture twin leaking floats, lossy casts, or panics past the
+    // checked-arithmetic boundary must trip them all.
     let r = fixture_report();
     let file = "crates/flow/src/bad_i128.rs";
     assert_finding(&r, "float", file, 4); // `-> f64`
@@ -194,11 +194,17 @@ fn delta_module_boundary_rules_fire() {
 
 #[test]
 fn float_boundary_module_is_exempt() {
-    // The sanctioned f64 backend module is carved out of the float and
-    // cast rules: its fixture twin is saturated with floats and casts and
-    // must produce no findings at all.
+    // A module listed in `float_boundary_exempt` is carved out of the
+    // float and cast rules. The workspace lists none, so the fixture file —
+    // saturated with floats and casts — fires under the workspace config
+    // and must produce no findings at all once it is listed.
+    let file = "crates/flow/src/float_exempt.rs";
     let r = fixture_report();
-    let file = "crates/flow/src/network_f64.rs";
+    assert_finding(&r, "float", file, 5); // `f64` parameter types
+    assert_finding(&r, "cast", file, 10); // `num as f64`
+    let mut cfg = LintConfig::workspace(fixture_root());
+    cfg.float_boundary_exempt = vec![file.to_string()];
+    let r = run(&cfg).expect("fixture tree lints");
     assert!(
         !r.findings.iter().any(|f| f.file == file),
         "float-boundary module produced findings:\n{}",

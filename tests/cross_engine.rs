@@ -5,8 +5,8 @@
 //! The flow-kernel modules at the bottom instantiate the shared
 //! engine-parameterized Dinic suite (`prs_flow::testkit`) once per capacity
 //! backend, so every kernel property — including the long-path
-//! no-stack-overflow regression — is pinned for all three engines from
-//! outside the crate.
+//! no-stack-overflow regression — is pinned for the three library engines
+//! from outside the crate, plus a test-local tolerant float backend.
 
 use prs::prelude::*;
 use prs::RingInstance;
@@ -135,8 +135,106 @@ mod flow_kernel_i128 {
     prs_flow::engine_suite!(i128);
 }
 
+/// The kernel suite on a *tolerant* backend. No library path runs a float
+/// flow; this test-local capacity keeps the kernel's
+/// [`Capacity::Tol`](prs_flow::Capacity::Tol) hook honest: saturation is
+/// "within a capacity-scaled epsilon" here and exact everywhere else, and
+/// every kernel property must survive that.
 mod flow_kernel_f64 {
-    prs_flow::engine_suite!(f64);
+    use prs_flow::testkit::TestCapacity;
+    use prs_flow::{stats, Capacity};
+
+    /// An `f64` capacity (a newtype: the trait and `f64` are both foreign).
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    pub struct F64(f64);
+
+    /// The largest finite capacity seen scales the saturation epsilon.
+    #[derive(Clone, Debug, Default)]
+    pub struct F64Tol {
+        cap_scale: f64,
+    }
+
+    impl F64Tol {
+        fn eps(&self) -> f64 {
+            1e-12 * (1.0 + self.cap_scale)
+        }
+    }
+
+    impl Capacity for F64 {
+        type Tol = F64Tol;
+
+        const ENGINE: &'static str = "f64";
+        const SPAN_BFS: &'static str = "f64_bfs_phase";
+        const SPAN_MAX_FLOW: &'static str = "f64_max_flow";
+
+        fn zero() -> Self {
+            F64(0.0)
+        }
+        fn is_zero(&self) -> bool {
+            self.0 == 0.0
+        }
+        fn is_negative(&self) -> bool {
+            self.0 < 0.0
+        }
+        fn is_positive(&self) -> bool {
+            self.0 > 0.0
+        }
+        fn le(&self, rhs: &Self) -> bool {
+            self.0 <= rhs.0
+        }
+        fn add_assign_ref(&mut self, rhs: &Self) {
+            self.0 += rhs.0;
+        }
+        fn sub_assign_ref(&mut self, rhs: &Self) {
+            self.0 -= rhs.0;
+        }
+        fn neg_ref(&self) -> Self {
+            F64(-self.0)
+        }
+        fn sub_ref(lhs: &Self, rhs: &Self) -> Self {
+            F64(lhs.0 - rhs.0)
+        }
+        fn has_headroom(flow: &Self, cap: &Self, tol: &F64Tol) -> bool {
+            flow.0 + tol.eps() < cap.0
+        }
+        // Written as `!(pushed > 0)` so a NaN push counts as exhausted and
+        // ends the augmentation loop.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        fn exhausted(pushed: &Self) -> bool {
+            !(pushed.0 > 0.0)
+        }
+        fn conserved(net: &Self, tol: &F64Tol) -> bool {
+            net.0.abs() <= tol.eps()
+        }
+        fn observe(tol: &mut F64Tol, cap: &Self) {
+            tol.cap_scale = tol.cap_scale.max(cap.0);
+        }
+        fn record_bfs_phase() {
+            stats::record_f64_bfs_phases(1);
+        }
+        fn record_augmenting_path() {
+            stats::record_f64_augmenting_paths(1);
+        }
+        fn record_max_flow() {
+            stats::record_f64_max_flows(1);
+        }
+    }
+
+    impl TestCapacity for F64 {
+        fn from_ratio(num: i64, den: i64) -> Self {
+            F64(num as f64 / den as f64)
+        }
+        fn assert_feq(actual: &Self, expected: &Self) {
+            assert!(
+                (actual.0 - expected.0).abs() <= 1e-9 * (1.0 + expected.0.abs()),
+                "f64 flow {} differs from expected {}",
+                actual.0,
+                expected.0
+            );
+        }
+    }
+
+    prs_flow::engine_suite!(F64);
 }
 
 #[test]

@@ -1,28 +1,34 @@
-//! Directed regression: an α-ratio near-tie that **fools the float tier**
-//! and forces the two-tier engine through its exact fallback.
+//! Directed regression: an α-ratio near-tie that a float solver cannot
+//! separate, decided by the exact integer descent.
 //!
 //! The 6-ring below carries two competing bottleneck gadgets:
 //!
 //! * `B = {1}` with `α({1}) = (w₀+w₂)/w₁ = 1/3` exactly, and
 //! * `B = {4}` with `α({4}) = (w₃+w₅)/w₄ = 3333333333333333/10⁶⁺¹⁰+1`,
-//!   which is *smaller* than 1/3 by ≈ 2·10⁻¹⁶ relative — far below every
-//!   f64 working tolerance in the float tier (feasibility 1e-9, residual
-//!   saturation 1e-12), and around the limit of f64 representation itself.
+//!   which is *smaller* than 1/3 by ≈ 2·10⁻¹⁶ relative — around the limit
+//!   of f64 representation itself, so any float tolerance lumps the two
+//!   gadgets together.
 //!
-//! The true maximal bottleneck is `{4}` alone, but the float tier cannot
-//! separate the gadgets: its proposal lumps both together (exact ratio =
-//! the mediant, strictly above the optimum), certification fails, and the
-//! engine must fall back to the exact descent — which this test observes
-//! through the `fast_path_fallbacks` counter. The result must still be
+//! The true maximal bottleneck is `{4}` alone. `decompose` descends from
+//! `α(V)` on the scaled-integer network, where the gap is an exact integer
+//! comparison: the ~10¹⁶ weights scale to capacities far inside `i128`, so
+//! every step runs on the checked-i128 tier (no promotion, no rational
+//! flow), and the descent needs more steps than there are pairs — which
+//! this test observes through the flow counters. The result must be
 //! bit-identical to the single-tier exact engine. See docs/NUMERICS.md.
 //!
 //! This test lives in its own binary: the flow-stat counters are process
 //! globals, and sharing the process with other tests would let their
-//! decompositions blur the before/after deltas asserted here.
+//! decompositions blur the before/after deltas asserted here. The two tests
+//! of this binary serialize on [`COUNTERS`] for the same reason.
 
 use prs::bd::{decompose, decompose_exact};
 use prs::flow::stats;
 use prs::prelude::*;
+
+/// Held by every test of this binary while it decomposes, so no
+/// concurrent test moves the counters inside an asserted window.
+static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn near_tie_ring() -> Graph {
     let w = |x: i64| Rational::from_integer(x);
@@ -39,31 +45,36 @@ fn near_tie_ring() -> Graph {
 
 #[test]
 fn near_tie_forces_the_exact_fallback_and_stays_bit_identical() {
+    let _guard = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let g = near_tie_ring();
     let alpha_b = ratio(3_333_333_333_333_333, 10_000_000_000_000_001);
     assert!(alpha_b < ratio(1, 3), "gadget B must be the true optimum");
 
     let before = stats::snapshot();
-    let two_tier = decompose(&g).unwrap();
+    let bd = decompose(&g).unwrap();
     let delta = stats::snapshot().since(&before);
 
-    // The float tier must have proposed *something* wrong: at least one
-    // certification failed and the exact descent took over.
+    // The whole descent ran on the checked-i128 tier: no rational (or
+    // BigInt) flow, no promotion, and at least one infeasible step beyond
+    // the one certifying flow each pair needs.
+    assert_eq!(delta.exact_max_flows, 0, "counters: {delta:?}");
+    assert!(delta.i128_max_flows > 0, "counters: {delta:?}");
+    assert_eq!(delta.i128_promotions, 0, "counters: {delta:?}");
     assert!(
-        delta.fast_path_fallbacks >= 1,
-        "expected the near-tie to defeat the float tier; counters: {delta:?}"
+        delta.dinkelbach_iterations > bd.k() as u64,
+        "expected the near-tie to force descent steps; counters: {delta:?}"
     );
 
-    // And the fallback must land on the exact answer: gadget B first, at
+    // And the descent must land on the exact answer: gadget B first, at
     // its exact (not float-rounded) ratio, bit-identical to the reference.
     let exact = decompose_exact(&g).unwrap();
-    assert_eq!(two_tier.shape(), exact.shape());
-    for (p, q) in two_tier.pairs().iter().zip(exact.pairs()) {
+    assert_eq!(bd.shape(), exact.shape());
+    for (p, q) in bd.pairs().iter().zip(exact.pairs()) {
         assert_eq!(p.alpha, q.alpha);
     }
-    assert_eq!(two_tier.pairs()[0].b.to_vec(), vec![4]);
-    assert_eq!(two_tier.pairs()[0].alpha, alpha_b);
-    assert_eq!(two_tier.pairs()[1].alpha, ratio(1, 3));
+    assert_eq!(bd.pairs()[0].b.to_vec(), vec![4]);
+    assert_eq!(bd.pairs()[0].alpha, alpha_b);
+    assert_eq!(bd.pairs()[1].alpha, ratio(1, 3));
 }
 
 /// The mirrored tie (gadget order swapped around the ring) and the exact
@@ -81,10 +92,11 @@ fn exact_tie_merges_into_one_maximal_bottleneck_in_both_engines() {
         w(25), // α({4}) = 1/3 — an *exact* tie
     ])
     .unwrap();
-    let two_tier = decompose(&g).unwrap();
+    let _guard = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let bd = decompose(&g).unwrap();
     let exact = decompose_exact(&g).unwrap();
-    assert_eq!(two_tier.shape(), exact.shape());
+    assert_eq!(bd.shape(), exact.shape());
     // The maximal bottleneck at α* = 1/3 contains both gadgets at once.
-    assert_eq!(two_tier.pairs()[0].alpha, ratio(1, 3));
-    assert!(two_tier.pairs()[0].b.contains(1) && two_tier.pairs()[0].b.contains(4));
+    assert_eq!(bd.pairs()[0].alpha, ratio(1, 3));
+    assert!(bd.pairs()[0].b.contains(1) && bd.pairs()[0].b.contains(4));
 }

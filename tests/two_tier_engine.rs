@@ -1,14 +1,16 @@
-//! The two-tier (float-prefiltered) decomposition engine must return
-//! **bit-identical** results to the single-tier exact reference on every
-//! input: the float tier only proposes a candidate optimum, an exact
-//! max-flow certifies it, and any disagreement falls back to the exact
-//! Dinkelbach descent (see `prs_bd::decomposition` and DESIGN.md §3.1).
+//! The production decomposition engine (`decompose`: the Dinkelbach descent
+//! on the scaled-integer i128 → BigInt ladder) must return **bit-identical**
+//! results to the single-tier rational reference (`decompose_exact`) on
+//! every input: uniform positive scaling changes no feasibility decision,
+//! min cut or residual reachability (see `prs_bd::decomposition` and
+//! DESIGN.md §3.1). The file keeps its historical name from the retired
+//! float-prefiltered engine.
 //!
 //! These properties exercise the claim over the families the paper cares
 //! about (rings), the general-graph extensions (stars, Erdős–Rényi), and
-//! rational (non-integer) weights. The directed near-tie instance that
-//! *forces* the fallback lives in `tests/near_tie_fallback.rs` (its counter
-//! assertions need a test binary of their own).
+//! rational (non-integer) weights. The directed near-tie instance lives in
+//! `tests/near_tie_fallback.rs` (its counter assertions need a test binary
+//! of their own).
 
 use proptest::prelude::*;
 use prs::bd::{decompose, decompose_exact};
