@@ -28,8 +28,20 @@
 //! [`decompose`] runs every Dinkelbach step on the scaled-integer network
 //! ([`RoundNets`]: checked `i128`, promoting to BigInt when a round's
 //! capacities do not fit), through the same loop the session's warm starts
-//! use ([`certify_with_candidate`]). [`decompose_exact`] keeps the
-//! single-tier rational descent as the reference oracle.
+//! use ([`certify_with_candidate`]). It solves each round one connected
+//! component of the alive subgraph at a time, and a component the round
+//! leaves untouched keeps its solution for the next round: a round's
+//! maximal bottleneck is the union of the components' maximal bottlenecks
+//! at the smallest component optimum (DESIGN.md §3.1). [`decompose_exact`]
+//! keeps the single-tier, whole-alive-set rational descent as the reference
+//! oracle.
+//!
+//! ## Zero weights
+//!
+//! Every engine, and the brute-force reference, rejects a round whose
+//! maximal bottleneck absorbs zero-weight vertices its pair cannot hold
+//! (`check_pair_placement`), so each returns the same typed error where
+//! Proposition 3 would otherwise fail.
 
 use crate::error::BdError;
 use prs_flow::network_i128::{overflow_detected, reset_overflow};
@@ -425,36 +437,41 @@ impl RoundNets {
         self.int_weights.clear();
         let mut d = BigUint::one();
         for v in alive.iter() {
-            d = lcm(&d, g.weight(v).denom());
+            let den = g.weight(v).denom();
+            if !den.is_one() {
+                d = lcm(&d, den);
+            }
         }
+        let integral = d.is_one();
         let d = BigInt::from_parts(Sign::Plus, d);
+        for v in alive.iter() {
+            let w = g.weight(v);
+            // w_v·D is integral because denom(w_v) divides D; integer
+            // weights (the common case) skip the division.
+            let iw = if integral {
+                w.numer().clone()
+            } else {
+                w.numer() * &(&d / &BigInt::from_parts(Sign::Plus, w.denom().clone()))
+            };
+            self.int_weights.push(iw);
+        }
         let p = alpha.numer();
         let q = BigInt::from_parts(Sign::Plus, alpha.denom().clone());
         debug_assert!(p.is_positive(), "bottleneck ratios are positive");
-        let mut total = BigInt::zero();
-        let mut caps = Vec::with_capacity(alive.len());
-        for v in alive.iter() {
-            let w = g.weight(v);
-            // w_v·D is integral because denom(w_v) divides D.
-            let iw = w.numer() * &(&d / &BigInt::from_parts(Sign::Plus, w.denom().clone()));
-            let src_cap = &iw * p;
-            let snk_cap = &iw * &q;
-            total += &src_cap;
-            caps.push((src_cap, snk_cap));
-            self.int_weights.push(iw);
-        }
-        if let Some(caps128) = admit_i128(&caps) {
-            self.build_arcs_i128(g, alive, &caps128);
+        if let Some((caps, total)) = scaled_caps_i128(&self.int_weights, p, &q) {
+            self.build_arcs_i128(g, alive, &caps);
+            self.int_source_total = BigInt::from(total);
         } else {
             // Build-time promotion: some p·D-scaled capacity (or an endpoint
             // total) does not fit in i128 — go straight to BigInt.
             stats::record_i128_promotions(1);
             prs_trace::metrics::anomaly("i128_promotion_build");
+            let (caps, total) = scaled_caps(&self.int_weights, p, &q);
             self.build_arcs_int(g, alive, &caps);
+            self.int_source_total = total;
         }
         self.int_scale = p * &d;
         self.int_d = d;
-        self.int_source_total = total;
     }
 
     /// Add the certification arcs to the BigInt engine. Arc order matches
@@ -534,24 +551,18 @@ impl RoundNets {
         let q = BigInt::from_parts(Sign::Plus, alpha.denom().clone());
         debug_assert!(p.is_positive(), "bottleneck ratios are positive");
         debug_assert_eq!(self.int_weights.len(), self.source_edges.len());
-        let mut total = BigInt::zero();
-        let mut caps = Vec::with_capacity(self.int_weights.len());
-        for iw in &self.int_weights {
-            let src_cap = iw * p;
-            total += &src_cap;
-            caps.push((src_cap, iw * &q));
-        }
         match self.cert_engine {
-            CertEngine::I128 => match admit_i128(&caps) {
-                Some(caps128) => {
+            CertEngine::I128 => match scaled_caps_i128(&self.int_weights, p, &q) {
+                Some((caps, total)) => {
                     reset_overflow();
-                    for (i, &(src, snk)) in caps128.iter().enumerate() {
+                    for (i, &(src, snk)) in caps.iter().enumerate() {
                         self.exact_i128
                             .set_capacity(self.source_edges[i].1, CapI128::Finite(src));
                         self.exact_i128
                             .set_capacity(self.sink_edges[i].1, CapI128::Finite(snk));
                     }
                     self.exact_i128.reset_flow();
+                    self.int_source_total = BigInt::from(total);
                 }
                 None => {
                     // Mid-descent promotion: the BigInt twin was never built
@@ -559,10 +570,13 @@ impl RoundNets {
                     // the recorded EdgeIds stay valid).
                     stats::record_i128_promotions(1);
                     prs_trace::metrics::anomaly("i128_promotion_descent");
+                    let (caps, total) = scaled_caps(&self.int_weights, p, &q);
                     self.build_arcs_int(g, alive, &caps);
+                    self.int_source_total = total;
                 }
             },
             CertEngine::Int => {
+                let (caps, total) = scaled_caps(&self.int_weights, p, &q);
                 for (i, (src, snk)) in caps.into_iter().enumerate() {
                     self.exact_int
                         .set_capacity(self.source_edges[i].1, CapInt::Finite(src));
@@ -570,10 +584,10 @@ impl RoundNets {
                         .set_capacity(self.sink_edges[i].1, CapInt::Finite(snk));
                 }
                 self.exact_int.reset_flow();
+                self.int_source_total = total;
             }
         }
         self.int_scale = p * &self.int_d;
-        self.int_source_total = total;
     }
 
     /// Run the certification max-flow on the active engine, returning the
@@ -600,16 +614,32 @@ impl RoundNets {
                 prs_trace::metrics::anomaly("i128_promotion_runtime");
                 let p = alpha.numer();
                 let q = BigInt::from_parts(Sign::Plus, alpha.denom().clone());
-                let caps: Vec<(BigInt, BigInt)> = self
-                    .int_weights
-                    .iter()
-                    .map(|iw| (iw * p, iw * &q))
-                    .collect();
+                let (caps, _) = scaled_caps(&self.int_weights, p, &q);
                 self.build_arcs_int(g, alive, &caps);
                 (self.exact_int.max_flow(Layout::S, Layout::T), true)
             }
             CertEngine::Int => (self.exact_int.max_flow(Layout::S, Layout::T), false),
         }
+    }
+
+    /// `α(S) = w(Γ(S))/w(S)` within the current build's `alive` set (`S ⊆
+    /// alive`), summed over the scaled weights `w_v·D`: the common factor
+    /// `D` cancels, so the value equals [`Graph::alpha_ratio_in`] while the
+    /// sums are integer additions with one normalization at the end instead
+    /// of a rational addition per vertex. `None` when `w(S) = 0`.
+    fn ratio_in(&self, g: &Graph, s: &VertexSet, alive: &VertexSet) -> Option<Rational> {
+        let gamma = g.neighborhood_in(s, alive);
+        let mut num = BigInt::zero();
+        let mut den = BigInt::zero();
+        for (&(v, _), iw) in self.source_edges.iter().zip(&self.int_weights) {
+            if s.contains(v) {
+                den += iw;
+            }
+            if gamma.contains(v) {
+                num += iw;
+            }
+        }
+        (!den.is_zero()).then(|| Rational::from_bigints(num, den))
     }
 
     /// Engine-dispatched [`prs_flow::Network::residual_reaches_sink`].
@@ -726,25 +756,47 @@ impl RoundNets {
     }
 }
 
-/// Try to narrow a full set of scaled certification capacities to `i128` —
-/// the admission test of the fast tier. Succeeds iff every capacity *and*
-/// both endpoint totals fit (the `checked_add` chain proves the totals,
-/// which in turn bound every partial sum the kernel can form: a flow value
-/// never exceeds an endpoint total, so an admitted network cannot overflow
-/// at runtime). Returns `None` on the first miss, which the callers count
-/// as one promotion to BigInt.
-fn admit_i128(caps: &[(BigInt, BigInt)]) -> Option<Vec<(i128, i128)>> {
+/// The scaled certification capacities `(w_v·D·p, w_v·D·q)` of the alive
+/// vertices (`int_weights` holds `w_v·D`), with the source total `Σ w_v·D·p`
+/// — the feasibility target.
+fn scaled_caps(int_weights: &[BigInt], p: &BigInt, q: &BigInt) -> (Vec<(BigInt, BigInt)>, BigInt) {
+    let mut total = BigInt::zero();
+    let caps = int_weights
+        .iter()
+        .map(|iw| {
+            let src = iw * p;
+            total += &src;
+            (src, iw * q)
+        })
+        .collect();
+    (caps, total)
+}
+
+/// [`scaled_caps`] in checked `i128` words — the admission test of the fast
+/// tier. Succeeds iff every capacity *and* both endpoint totals fit (the
+/// `checked_add` chain proves the totals, which in turn bound every partial
+/// sum the kernel can form: a flow value never exceeds an endpoint total, so
+/// an admitted network cannot overflow at runtime). The alive set carries
+/// positive weight, so some `w_v·D ≥ 1` and the capacities fit only if `p`
+/// and `q` do. Returns `None` on the first miss, which the callers count as
+/// one promotion to BigInt.
+fn scaled_caps_i128(
+    int_weights: &[BigInt],
+    p: &BigInt,
+    q: &BigInt,
+) -> Option<(Vec<(i128, i128)>, i128)> {
+    let (p, q) = (p.to_i128()?, q.to_i128()?);
     let mut src_total: i128 = 0;
     let mut snk_total: i128 = 0;
-    let mut out = Vec::with_capacity(caps.len());
-    for (src, snk) in caps {
-        let s = src.to_i128()?;
-        let k = snk.to_i128()?;
+    let mut out = Vec::with_capacity(int_weights.len());
+    for iw in int_weights {
+        let iw = iw.to_i128()?;
+        let (s, k) = (iw.checked_mul(p)?, iw.checked_mul(q)?);
         src_total = src_total.checked_add(s)?;
         snk_total = snk_total.checked_add(k)?;
         out.push((s, k));
     }
-    Some(out)
+    Some((out, src_total))
 }
 
 /// A settled Dinkelbach descent (see [`certify_with_candidate`]).
@@ -843,8 +895,8 @@ pub(crate) fn certify_with_candidate(
             }
         }
         // prs-lint: allow(panic, reason = "the s-side of an infeasible cut contains a source arc, hence positive weight; failure is a solver bug")
-        let new_alpha = g
-            .alpha_ratio_in(&s_set, alive)
+        let new_alpha = nets
+            .ratio_in(g, &s_set, alive)
             .expect("violating sets have positive weight");
         if new_alpha.is_zero() {
             return Err(BdError::ZeroAlpha { round });
@@ -880,23 +932,143 @@ pub(crate) fn maximal_bottleneck(
 
 /// Compute the bottleneck decomposition of `g` (Definition 2), exactly.
 ///
-/// Each round runs the Dinkelbach descent from `α₀ = α(V_alive)` on the
+/// Each round is solved one connected component of the alive subgraph at a
+/// time. A round's maximal bottleneck is the union of the maximal
+/// bottlenecks of the components whose own minimum ratio equals the global
+/// one (a mediant argument, DESIGN.md §3.1), so only the
+/// components a round consumed change before the next one; every other
+/// component keeps its `(B, α)` from the round that solved it. Each
+/// component runs the Dinkelbach descent from `α₀ = α(component)` on the
 /// scaled-integer feasibility network ([`RoundNets`]): capacities are
 /// multiplied by `p·D` so every flow step is integer arithmetic, on checked
-/// `i128` words unless the round's capacities do not fit, in which case it
-/// promotes to BigInt. Scaling changes no decision, so the result is
-/// bit-identical to [`decompose_exact`] while avoiding its gcd-normalized
-/// rational arithmetic. The network is rebuilt in place across rounds and
-/// re-parameterized capacity-only inside each round's descent.
+/// `i128` words unless the capacities do not fit, in which case it promotes
+/// to BigInt. Neither the split nor the scaling changes a decision, so the
+/// result is bit-identical to [`decompose_exact`] while avoiding its
+/// gcd-normalized rational arithmetic and its whole-graph re-solves. The
+/// network is rebuilt in place per descent and re-parameterized
+/// capacity-only inside it.
 ///
 /// Errors on the degenerate inputs for which the decomposition is undefined:
 /// empty graphs, subgraphs whose minimum α-ratio is 0 (isolated
-/// positive-weight agents), or residues of total weight 0.
+/// positive-weight agents), residues of total weight 0, and rounds whose
+/// maximal bottleneck absorbs zero-weight vertices its pair cannot hold
+/// (both [`BdError::ZeroWeightResidue`]).
 pub fn decompose(g: &Graph) -> Result<BottleneckDecomposition, BdError> {
     let mut nets = RoundNets::new(2 + 2 * g.n().max(1));
+    let mut solved = Vec::new();
     drive(g, |g, alive, round| {
-        maximal_bottleneck(g, alive, round, &mut nets)
+        solve_round_by_component(g, alive, round, &mut nets, &mut solved)
     })
+}
+
+/// A connected component of an earlier round's alive subgraph, with the
+/// maximal bottleneck and ratio of the subgraph it induces.
+struct SolvedComponent {
+    members: VertexSet,
+    b: VertexSet,
+    alpha: Rational,
+}
+
+/// The connected components of the subgraph induced on `alive`, in
+/// ascending order of their smallest vertex.
+fn alive_components(g: &Graph, alive: &VertexSet) -> Vec<VertexSet> {
+    let mut unseen = alive.clone();
+    let mut components = Vec::new();
+    let mut stack = Vec::new();
+    for root in alive.iter() {
+        if !unseen.contains(root) {
+            continue;
+        }
+        unseen.remove(root);
+        let mut members = VertexSet::empty(g.n());
+        stack.push(root);
+        while let Some(v) = stack.pop() {
+            members.insert(v);
+            for &u in g.neighbors(v) {
+                if unseen.contains(u) {
+                    unseen.remove(u);
+                    stack.push(u);
+                }
+            }
+        }
+        components.push(members);
+    }
+    components
+}
+
+/// One round of [`decompose`]: the maximal bottleneck of the subgraph
+/// induced on `alive`, solved per connected component.
+///
+/// For disjoint components `G₁…G_m` of positive weight and any
+/// `S = ⋃ Sᵢ` (`Sᵢ ⊆ Gᵢ`, neighborhoods stay inside their component),
+/// `α(S) = Σ w(Γ(Sᵢ)) / Σ w(Sᵢ)` is a mediant of the ratios `α(Sᵢ)` of its
+/// nonempty parts, so `α(S) ≥ minᵢ α*ᵢ`, with equality iff every nonempty
+/// `Sᵢ` is tight at that minimum in its own component. The round's optimum
+/// is therefore `α* = minᵢ α*ᵢ`, and its maximal bottleneck is the union of
+/// the components' maximal bottlenecks at `α*`.
+///
+/// `solved` carries the components of earlier rounds that were not
+/// consumed (their `α*ᵢ` exceeded the round's `α*`), in ascending order of
+/// their smallest vertex. The graph is fixed for the whole call and a
+/// component's solution depends only on its vertex set, so a component
+/// whose vertex set equals an entry's reuses that entry's `(B, α)` instead
+/// of running a descent; any other component is solved afresh.
+///
+/// The merge needs every vertex to carry weight: a zero-weight vertex whose
+/// alive neighbours all have weight 0 joins every tight set, so it would sit
+/// in the whole-graph bottleneck even when its own component is not at the
+/// minimum. A round with any zero-weight alive vertex is therefore solved
+/// on the whole alive set, as [`maximal_bottleneck`] does.
+fn solve_round_by_component(
+    g: &Graph,
+    alive: &VertexSet,
+    round: usize,
+    nets: &mut RoundNets,
+    solved: &mut Vec<SolvedComponent>,
+) -> Result<(VertexSet, Rational), BdError> {
+    if alive.iter().any(|v| g.weight(v).is_zero()) {
+        solved.clear();
+        return maximal_bottleneck(g, alive, round, nets);
+    }
+    // Components in ascending order of their smallest vertex, like the
+    // entries: a round removes `B ∪ C` from the components it consumed
+    // only, so every entry reappears unchanged, in order.
+    let mut earlier = std::mem::take(solved).into_iter().peekable();
+    let mut current = Vec::new();
+    for members in alive_components(g, alive) {
+        let component = match earlier.next_if(|s| s.members == members) {
+            Some(s) => s,
+            None => {
+                // A connected component of two or more vertices is its own
+                // neighborhood, so its descent starts at α(component) = 1;
+                // a lone vertex has none (α = 0).
+                if members.len() == 1 {
+                    return Err(BdError::ZeroAlpha { round });
+                }
+                let c = certify_with_candidate(g, &members, round, nets, Rational::one(), &[])?;
+                SolvedComponent {
+                    members,
+                    b: c.b,
+                    alpha: c.alpha,
+                }
+            }
+        };
+        current.push(component);
+    }
+    // prs-lint: allow(panic, reason = "drive() only calls a round solver on a nonempty alive set, which has at least one component")
+    let alpha = current
+        .iter()
+        .map(|s| &s.alpha)
+        .min()
+        .cloned()
+        .expect("a nonempty alive set has a component");
+    let mut b = VertexSet::empty(g.n());
+    for s in current.iter().filter(|s| s.alpha == alpha) {
+        b.union_with(&s.b);
+    }
+    current.retain(|s| s.alpha != alpha);
+    *solved = current;
+    Ok((b, alpha))
 }
 
 /// Compute the bottleneck decomposition with the single-tier exact engine:
@@ -909,11 +1081,41 @@ pub fn decompose_exact(g: &Graph) -> Result<BottleneckDecomposition, BdError> {
     drive(g, maximal_bottleneck_exact)
 }
 
+/// Reject a round whose maximal bottleneck swallowed zero-weight vertices
+/// that its pair cannot hold (Proposition 3, clause 2).
+///
+/// A zero-weight vertex joins every tight set whose neighborhood covers its
+/// own up to zero-weight vertices, since it changes neither `w(S)` nor
+/// `w(Γ(S))`. An isolated one then lands in `B` but not in `C = Γ(B)`
+/// (`B ≠ C` at `α = 1`), and two adjacent ones land in `B ∩ C` (at
+/// `α < 1`). Leaving them out of `B` would strand them in a later residue
+/// of total weight 0, so the round fails with
+/// [`BdError::ZeroWeightResidue`] (DESIGN.md §3.1). Every engine and the
+/// brute-force reference apply this check to the same `(B, C, α)`.
+pub(crate) fn check_pair_placement(
+    b: &VertexSet,
+    c: &VertexSet,
+    alpha: &Rational,
+    round: usize,
+) -> Result<(), BdError> {
+    let placed = if *alpha == Rational::one() {
+        b == c
+    } else {
+        b.is_disjoint(c)
+    };
+    if placed {
+        Ok(())
+    } else {
+        Err(BdError::ZeroWeightResidue { round })
+    }
+}
+
 /// The shared round loop of every decomposition engine: peel maximal
 /// bottlenecks off the alive set until it is empty, classifying vertices as
 /// it goes. `solve_round(g, alive, round)` supplies each round's
-/// `(B, α)` — the rational reference descent, the scaled-integer descent, or
-/// the session's warm-started solver.
+/// `(B, α)` — the rational reference descent, the per-component
+/// scaled-integer descent, or the session's warm-started solver — and every
+/// round's pair passes [`check_pair_placement`].
 pub(crate) fn drive<F>(g: &Graph, mut solve_round: F) -> Result<BottleneckDecomposition, BdError>
 where
     F: FnMut(&Graph, &VertexSet, usize) -> Result<(VertexSet, Rational), BdError>,
@@ -931,7 +1133,7 @@ where
     let mut round = 0;
 
     while !alive.is_empty() {
-        if g.set_weight_of(&alive).is_zero() {
+        if alive.iter().all(|v| g.weight(v).is_zero()) {
             return Err(BdError::ZeroWeightResidue { round });
         }
         let (b, alpha) = {
@@ -943,6 +1145,7 @@ where
         let c = g.neighborhood_in(&b, &alive);
         let one = Rational::one();
         debug_assert!(alpha <= one, "α(S) ≤ α(V) ≤ 1 on every subgraph");
+        check_pair_placement(&b, &c, &alpha, round)?;
 
         for v in b.iter() {
             pair_of[v] = round;

@@ -16,10 +16,15 @@ pub enum BdError {
         /// Decomposition round at which the degenerate set appeared.
         round: usize,
     },
-    /// A residual subgraph consists solely of zero-weight vertices; every
-    /// α-ratio in it is undefined.
+    /// Zero-weight vertices that no bottleneck pair can hold: either a
+    /// residual subgraph consists solely of zero-weight vertices (every
+    /// α-ratio in it is undefined), or the round's maximal bottleneck
+    /// absorbed zero-weight vertices that break its pair — an isolated one
+    /// at `α = 1` (so `B ≠ C`), or two adjacent ones at `α < 1` (so
+    /// `B ∩ C ≠ ∅`). Leaving such vertices out of `B` would only strand
+    /// them in a later all-zero residue.
     ZeroWeightResidue {
-        /// Decomposition round at which the residue appeared.
+        /// Decomposition round at which the zero-weight vertices surfaced.
         round: usize,
     },
     /// A [`Delta`](crate::Delta) mutation was rejected by the graph layer
@@ -53,8 +58,9 @@ impl fmt::Display for BdError {
             ),
             BdError::ZeroWeightResidue { round } => write!(
                 f,
-                "residual subgraph at round {round} has total weight 0; \
-                 α-ratios are undefined there"
+                "zero-weight vertices at decomposition round {round} fit in no \
+                 bottleneck pair (an all-zero residue, or zero-weight vertices \
+                 the round's bottleneck absorbs but its pair cannot hold)"
             ),
             BdError::InvalidDelta { source } => write!(f, "invalid delta: {source}"),
             BdError::DetachedSession => write!(

@@ -5,7 +5,7 @@
 //! sets are union-closed). Exponential, only for cross-checking the
 //! flow-based algorithm on small instances in tests and experiments.
 
-use crate::decomposition::{BottleneckDecomposition, BottleneckPair};
+use crate::decomposition::{check_pair_placement, BottleneckDecomposition, BottleneckPair};
 use crate::error::BdError;
 use crate::AgentClass;
 use prs_graph::{Graph, VertexSet};
@@ -73,6 +73,7 @@ pub fn brute_force_decompose(g: &Graph) -> Result<BottleneckDecomposition, BdErr
         // the union in `brute_force_maximal_bottleneck` already absorbed `v`.
         // No extra closure pass is needed.
         let c = g.neighborhood_in(&b, &alive);
+        check_pair_placement(&b, &c, &alpha, round)?;
         for v in b.iter() {
             pair_of[v] = round;
             class_of[v] = if alpha == one {

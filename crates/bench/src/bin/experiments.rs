@@ -1209,7 +1209,11 @@ fn bench_engines(quick: bool) {
     // The measured workloads: rings (the paper's domain, the Criterion
     // `decompose` bench shape) and the split rings the Sybil optimizer
     // decomposes at every payoff evaluation.
-    let ring_ns: &[usize] = if quick { &[12, 16] } else { &[16, 32, 48, 64] };
+    let ring_ns: &[usize] = if quick {
+        &[12, 16, 64]
+    } else {
+        &[16, 32, 48, 64]
+    };
     let split_ns: &[usize] = if quick { &[16] } else { &[32, 64] };
     let mut workloads: Vec<(String, Graph)> = Vec::new();
     for &n in ring_ns {
@@ -1228,8 +1232,15 @@ fn bench_engines(quick: bool) {
     let mut t = Table::new(&["instance", "exact ms", "decompose ms", "speedup"]);
     let mut rows: Vec<String> = Vec::new();
     for (name, g) in &workloads {
+        // One untimed call of each engine records its flow work: the oracle
+        // re-solves the whole alive set every round, `decompose` only the
+        // components a round changed.
+        let before = stats::snapshot();
         let want = decompose_exact(g).unwrap();
+        let exact_paths = stats::snapshot().since(&before).exact_augmenting_paths;
+        let before = stats::snapshot();
         let got = decompose(g).unwrap();
+        let i128_paths = stats::snapshot().since(&before).i128_augmenting_paths;
         assert_eq!(want.shape(), got.shape(), "{name}: engines disagree");
         let exact_ms = median_ms(reps, || decompose_exact(g).unwrap());
         let before = stats::snapshot();
@@ -1245,13 +1256,17 @@ fn bench_engines(quick: bool) {
         rows.push(format!(
             concat!(
                 "    {{\"instance\": \"{}\", \"n\": {}, \"exact_ms\": {:.4}, ",
-                "\"decompose_ms\": {:.4}, \"speedup\": {:.3}, \"stats\": {}}}"
+                "\"decompose_ms\": {:.4}, \"speedup\": {:.3}, ",
+                "\"exact_augmenting_paths\": {}, \"i128_augmenting_paths\": {}, ",
+                "\"stats\": {}}}"
             ),
             name,
             g.n(),
             exact_ms,
             decompose_ms,
             speedup,
+            exact_paths,
+            i128_paths,
             delta.to_json(),
         ));
     }

@@ -496,6 +496,29 @@ unsafe fn deliver_agent(l: &RawLanes, v: usize) {
     *l.u_cur.add(v) = sum;
 }
 
+/// The deliver pass over the agents of `range`, with the run loop's
+/// convergence test folded in: after each agent's gather, its cycle
+/// average `½(U(t) + U(t−1))` is compared with the previous one held in
+/// `avg` and written back in its place. Returns the largest relative
+/// movement `|before − after| / (1 + |after|)` over the range. The
+/// sequential [`SoaSwarm::run`] calls it over every slot, each worker of
+/// [`SoaSwarm::run_partitioned`] over its own range.
+///
+/// # Safety
+///
+/// As [`deliver_agent`] for every agent of `range`, plus exclusive access
+/// to their `avg` cells.
+unsafe fn deliver_fold(l: &RawLanes, range: Range<usize>) -> f64 {
+    let mut delta = 0.0f64;
+    for v in range {
+        deliver_agent(l, v);
+        let after = 0.5 * (*l.u_cur.add(v) + *l.u_prev.add(v));
+        delta = delta.max((*l.avg.add(v) - after).abs() / (1.0 + after.abs()));
+        *l.avg.add(v) = after;
+    }
+    delta
+}
+
 /// The struct-of-arrays swarm engine.
 ///
 /// Slot-indexed: agent ids are stable slot indices; departed agents leave
@@ -712,6 +735,14 @@ impl SoaSwarm {
 
     /// One protocol round: respond, then deliver. Allocation-free.
     pub fn step(&mut self) {
+        self.round_pass(false);
+    }
+
+    /// One round under its `soa_round` span: the respond pass, then the
+    /// deliver pass — with `fold`, the deliver pass that also folds the
+    /// convergence test ([`deliver_fold`]), returning its movement (0.0
+    /// without).
+    fn round_pass(&mut self, fold: bool) -> f64 {
         let mut sp = prs_trace::span("p2psim", PSPAN_ROUND);
         let r = self.round;
         sp.attr("round", || r.to_string());
@@ -721,11 +752,19 @@ impl SoaSwarm {
             // SAFETY: sequential loop — exclusive access trivially holds.
             unsafe { respond_agent(&l, v) }
         }
-        for v in 0..n {
-            // SAFETY: as above; `outgoing` is no longer written this round.
-            unsafe { deliver_agent(&l, v) }
-        }
+        // SAFETY: as above; `outgoing` is no longer written this round.
+        let delta = unsafe {
+            if fold {
+                deliver_fold(&l, 0..n)
+            } else {
+                for v in 0..n {
+                    deliver_agent(&l, v);
+                }
+                0.0
+            }
+        };
         self.round += 1;
+        delta
     }
 
     /// Run until the cycle-averaged utilities stop moving (or
@@ -743,24 +782,18 @@ impl SoaSwarm {
         if cfg.record_trace {
             trace.push(self.utilities());
         }
-        let slots = self.topo.n_slots();
-        // Prime the scratch lane with the pre-loop cycle averages; after
-        // each round the delta fold writes the fresh averages back, so the
-        // next iteration's "before" snapshot needs no separate pass.
-        for v in 0..slots {
+        // Prime the scratch lane with the pre-loop cycle averages; each
+        // deliver pass folds the convergence test in and writes the fresh
+        // averages back, so the next round's "before" snapshot needs no
+        // separate pass.
+        for v in 0..self.topo.n_slots() {
             self.avg_scratch[v] = 0.5 * (self.u_cur[v] + self.u_prev[v]);
         }
         for _ in 0..cfg.max_rounds {
-            self.step();
+            let delta = self.round_pass(true);
             rounds += 1;
             if cfg.record_trace {
                 trace.push(self.utilities());
-            }
-            let mut delta = 0.0f64;
-            for v in 0..slots {
-                let after = 0.5 * (self.u_cur[v] + self.u_prev[v]);
-                delta = delta.max((self.avg_scratch[v] - after).abs() / (1.0 + after.abs()));
-                self.avg_scratch[v] = after;
             }
             if rounds == checkpoint {
                 checkpoint = checkpoint.saturating_mul(2);
@@ -853,9 +886,8 @@ impl SoaSwarm {
         let outcome = std::sync::Mutex::new((0usize, false));
 
         crossbeam::scope(|scope| {
-            let (barrier, outcome, ranges) = (&barrier, &outcome, &ranges);
-            for w in 0..threads {
-                let range = ranges[w].clone();
+            let (barrier, outcome) = (&barrier, &outcome);
+            for (w, range) in ranges.iter().cloned().enumerate() {
                 scope.spawn(move |_| {
                     // Bind the Send wrappers whole: edition-2021 disjoint
                     // capture would otherwise capture their raw-pointer
@@ -892,21 +924,11 @@ impl SoaSwarm {
                                 unsafe { respond_agent(&l, v) }
                             }
                             barrier.wait();
-                            let mut local = 0.0f64;
-                            for v in range.clone() {
-                                // SAFETY: exclusive access to the owned
-                                // agents' `received`/`u_*`/`avg` cells;
-                                // `outgoing` is read-shared — the barrier
-                                // above ends all respond-pass writes.
-                                unsafe {
-                                    deliver_agent(&l, v);
-                                    let after =
-                                        0.5 * (*l.u_cur.add(v) + *l.u_prev.add(v));
-                                    local = local
-                                        .max((*l.avg.add(v) - after).abs() / (1.0 + after.abs()));
-                                    *l.avg.add(v) = after;
-                                }
-                            }
+                            // SAFETY: exclusive access to the owned agents'
+                            // `received`/`u_*`/`avg` cells; `outgoing` is
+                            // read-shared — the barrier above ends all
+                            // respond-pass writes.
+                            let local = unsafe { deliver_fold(&l, range.clone()) };
                             // SAFETY: cell `w` is this worker's partial;
                             // peers read it only after the next barrier.
                             unsafe { *dp.0.add(w) = local };
@@ -1022,9 +1044,9 @@ impl SoaSwarm {
             }
             free_seen[v] = true;
         }
-        for v in 0..n {
+        for (v, &freed) in free_seen.iter().enumerate() {
             if !self.alive[v] {
-                if !free_seen[v] {
+                if !freed {
                     return Err(format!("dead slot {v} missing from the free list"));
                 }
                 if self.topo.degree(v) != 0 {
@@ -1095,7 +1117,10 @@ mod tests {
             t.remove_edge(0, 3, &mut ()),
             Err(TopologyError::MissingEdge(0, 3))
         );
-        assert_eq!(t.insert_edge(2, 2, &mut ()), Err(TopologyError::SelfLoop(2)));
+        assert_eq!(
+            t.insert_edge(2, 2, &mut ()),
+            Err(TopologyError::SelfLoop(2))
+        );
     }
 
     #[test]

@@ -51,6 +51,39 @@ fn decomposition_rejections() {
 }
 
 #[test]
+fn zero_weight_vertices_no_pair_can_hold_are_rejected() {
+    use prs::bd::reference::brute_force_decompose;
+    use prs::bd::BdError;
+    type Engine = fn(&Graph) -> Result<BottleneckDecomposition, BdError>;
+    let engines: [Engine; 3] = [decompose, decompose_exact, brute_force_decompose];
+    let residue = Err(BdError::ZeroWeightResidue { round: 0 });
+    // An isolated zero-weight vertex joins the α = 1 bottleneck {0, 1}
+    // but not its neighborhood, so B ≠ C.
+    let isolated = Graph::new(vec![int(1), int(1), int(0)], &[(0, 1)]).unwrap();
+    // A zero-weight edge joins the α = 1/2 bottleneck {1} and lands in
+    // B ∩ C.
+    let zero_edge = Graph::new(vec![int(0), int(2), int(1), int(0)], &[(0, 3), (1, 2)]).unwrap();
+    // The same inside one connected graph: vertex 2 is already in C, so the
+    // zero-weight edge (1, 3) joins B = {0} and overlaps C.
+    let connected = Graph::new(
+        vec![int(2), int(0), int(1), int(0)],
+        &[(0, 2), (1, 2), (1, 3), (2, 3)],
+    )
+    .unwrap();
+    // An isolated zero-weight vertex in an α < 1 bottleneck is placeable:
+    // B = {0, 2}, C = {1}.
+    let placeable = Graph::new(vec![int(2), int(1), int(0)], &[(0, 1)]).unwrap();
+    for engine in engines {
+        for g in [&isolated, &zero_edge, &connected] {
+            assert_eq!(engine(g), residue, "{g:?}");
+        }
+        let bd = engine(&placeable).unwrap();
+        assert_eq!(bd.check_proposition3(&placeable), Ok(()));
+        assert_eq!(bd.pairs()[0].b.to_vec(), vec![0, 2]);
+    }
+}
+
+#[test]
 fn degenerate_split_boundaries_are_graceful() {
     // w1 = 0 at a split is a legitimate boundary (Case C-2); the machinery
     // must handle it without panicking.
