@@ -27,14 +27,14 @@
 //!
 //! [`decompose`] runs every Dinkelbach step on the scaled-integer network
 //! ([`RoundNets`]: checked `i128`, promoting to BigInt when a round's
-//! capacities do not fit), through the same loop the session's warm starts
-//! use ([`certify_with_candidate`]). It solves each round one connected
-//! component of the alive subgraph at a time, and a component the round
-//! leaves untouched keeps its solution for the next round: a round's
-//! maximal bottleneck is the union of the components' maximal bottlenecks
-//! at the smallest component optimum (DESIGN.md §3.1). [`decompose_exact`]
-//! keeps the single-tier, whole-alive-set rational descent as the reference
-//! oracle.
+//! capacities do not fit), through the same loop the session's delta
+//! recertification uses ([`certify_with_candidate`]). It solves each round
+//! one connected component of the alive subgraph at a time, and a component
+//! the round leaves untouched keeps its solution for the next round: a
+//! round's maximal bottleneck is the union of the components' maximal
+//! bottlenecks at the smallest component optimum (DESIGN.md §3.1).
+//! [`decompose_exact`] keeps the single-tier, whole-alive-set rational
+//! descent as the reference oracle.
 //!
 //! ## Zero weights
 //!
@@ -46,7 +46,7 @@
 use crate::error::BdError;
 use prs_flow::network_i128::{overflow_detected, reset_overflow};
 use prs_flow::{
-    stats, Cap, CapI128, CapInt, Capacity, EdgeId, FlowNetwork, NetworkI128, NetworkInt, SeedArc,
+    stats, Cap, CapI128, CapInt, Capacity, EdgeId, FlowNetwork, NetworkI128, NetworkInt,
 };
 use prs_graph::{Graph, VertexId, VertexSet};
 use prs_numeric::{gcd::lcm, BigInt, BigUint, Rational, Sign};
@@ -366,8 +366,8 @@ impl CertEngine {
 }
 
 /// The scaled-integer feasibility network of one decomposition round — the
-/// single certification engine behind [`decompose`], the session's warm
-/// starts and its delta recertification.
+/// single certification engine behind [`decompose`] and the session's delta
+/// recertification.
 ///
 /// At `α = p/q` in lowest terms every capacity of the Hall network is
 /// multiplied by the positive constant `p·D`, where `D` is the lcm of the
@@ -390,11 +390,6 @@ pub(crate) struct RoundNets {
     exact_i128: NetworkI128,
     /// Which engine the last `rebuild`/`set_alpha` targeted.
     cert_engine: CertEngine,
-    /// `p·D` of the current integer build (positive when valid).
-    pub(crate) int_scale: BigInt,
-    /// `D` = lcm of the alive weights' denominators (α-independent part of
-    /// the scale, kept so a Dinkelbach step can re-parameterize in place).
-    int_d: BigInt,
     /// Scaled integer weight `w_v·D` per alive vertex, in `alive` order.
     int_weights: Vec<BigInt>,
     /// Sum of the integer source capacities `Σ w_v·D·p` — the feasibility
@@ -407,11 +402,6 @@ pub(crate) struct RoundNets {
     sink_edges: Vec<(VertexId, EdgeId)>,
     /// Per alive vertex: `(v, source edge)`, in `alive` order.
     source_edges: Vec<(VertexId, EdgeId)>,
-    /// The middle arcs `(v, u, edge left(v)→right(u))`, sorted
-    /// lexicographically by `(v, u)` (alive iteration is ascending and
-    /// neighbor lists are sorted). The session reads the certifying flow
-    /// off these arcs and seeds the next warm start from it.
-    pub(crate) mid_edges: Vec<(VertexId, VertexId, EdgeId)>,
 }
 
 impl RoundNets {
@@ -420,13 +410,10 @@ impl RoundNets {
             exact_int: NetworkInt::new(n_nodes),
             exact_i128: NetworkI128::new(n_nodes),
             cert_engine: CertEngine::Int,
-            int_scale: BigInt::zero(),
-            int_d: BigInt::zero(),
             int_weights: Vec::new(),
             int_source_total: BigInt::zero(),
             sink_edges: Vec::new(),
             source_edges: Vec::new(),
-            mid_edges: Vec::new(),
         }
     }
 
@@ -470,8 +457,6 @@ impl RoundNets {
             self.build_arcs_int(g, alive, &caps);
             self.int_source_total = total;
         }
-        self.int_scale = p * &d;
-        self.int_d = d;
     }
 
     /// Add the certification arcs to the BigInt engine. Arc order matches
@@ -483,7 +468,6 @@ impl RoundNets {
         self.exact_int.clear(layout.nodes());
         self.sink_edges.clear();
         self.source_edges.clear();
-        self.mid_edges.clear();
         for (i, v) in alive.iter().enumerate() {
             let s = self.exact_int.add_edge(
                 Layout::S,
@@ -499,10 +483,8 @@ impl RoundNets {
             self.source_edges.push((v, s));
             for &u in g.neighbors(v) {
                 if alive.contains(u) {
-                    let m =
-                        self.exact_int
-                            .add_edge(layout.left(v), layout.right(u), CapInt::Infinite);
-                    self.mid_edges.push((v, u, m));
+                    self.exact_int
+                        .add_edge(layout.left(v), layout.right(u), CapInt::Infinite);
                 }
             }
         }
@@ -517,7 +499,6 @@ impl RoundNets {
         self.exact_i128.clear(layout.nodes());
         self.sink_edges.clear();
         self.source_edges.clear();
-        self.mid_edges.clear();
         for (i, v) in alive.iter().enumerate() {
             let s = self
                 .exact_i128
@@ -529,12 +510,8 @@ impl RoundNets {
             self.source_edges.push((v, s));
             for &u in g.neighbors(v) {
                 if alive.contains(u) {
-                    let m = self.exact_i128.add_edge(
-                        layout.left(v),
-                        layout.right(u),
-                        CapI128::Infinite,
-                    );
-                    self.mid_edges.push((v, u, m));
+                    self.exact_i128
+                        .add_edge(layout.left(v), layout.right(u), CapI128::Infinite);
                 }
             }
         }
@@ -587,22 +564,18 @@ impl RoundNets {
                 self.int_source_total = total;
             }
         }
-        self.int_scale = p * &self.int_d;
     }
 
     /// Run the certification max-flow on the active engine, returning the
-    /// pushed flow in BigInt units and whether a *runtime* overflow promoted
-    /// the round mid-flight. On promotion the poisoned i128 result is
-    /// discarded and the max-flow reruns cold on a freshly built BigInt
-    /// network at the same α — any seed installed on the i128 network is
-    /// gone, so callers must drop their seeded-flow bookkeeping when the
-    /// flag comes back `true`.
-    fn cert_max_flow(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) -> (BigInt, bool) {
+    /// flow value in BigInt units. If a *runtime* overflow poisons the i128
+    /// result, it is discarded and the max-flow reruns on a freshly built
+    /// BigInt network at the same α.
+    fn cert_max_flow(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) -> BigInt {
         match self.cert_engine {
             CertEngine::I128 => {
                 let flow = self.exact_i128.max_flow(Layout::S, Layout::T);
                 if !overflow_detected() {
-                    return (BigInt::from(flow), false);
+                    return BigInt::from(flow);
                 }
                 // The admission check bounds every partial sum by an endpoint
                 // total that fits, so this is defense-in-depth rather than an
@@ -616,9 +589,9 @@ impl RoundNets {
                 let q = BigInt::from_parts(Sign::Plus, alpha.denom().clone());
                 let (caps, _) = scaled_caps(&self.int_weights, p, &q);
                 self.build_arcs_int(g, alive, &caps);
-                (self.exact_int.max_flow(Layout::S, Layout::T), true)
+                self.exact_int.max_flow(Layout::S, Layout::T)
             }
-            CertEngine::Int => (self.exact_int.max_flow(Layout::S, Layout::T), false),
+            CertEngine::Int => self.exact_int.max_flow(Layout::S, Layout::T),
         }
     }
 
@@ -655,103 +628,6 @@ impl RoundNets {
         match self.cert_engine {
             CertEngine::I128 => self.exact_i128.min_cut_source_side(Layout::S),
             CertEngine::Int => self.exact_int.min_cut_source_side(Layout::S),
-        }
-    }
-
-    /// Flow on `e` in the active certification engine, widened to BigInt.
-    pub(crate) fn cert_flow_on(&self, e: EdgeId) -> BigInt {
-        match self.cert_engine {
-            CertEngine::I128 => BigInt::from(*self.exact_i128.flow_on(e)),
-            CertEngine::Int => self.exact_int.flow_on(e).clone(),
-        }
-    }
-
-    /// Preload the network with a cached certifying flow pattern, rescaled
-    /// from the cached weights to the current ones and into the `p·D`
-    /// integer units, returning the seeded flow value (the amount already
-    /// routed s→t, in scaled units). `support` lists the cached middle arcs
-    /// as `(v, u, flow, w_v-then)`; arcs that left the alive subgraph are
-    /// skipped.
-    ///
-    /// Each middle arc requests `⌊flow·(w'_v/w_v)·pD⌋`; the kernel's
-    /// [`seed_flow`](prs_flow::Network::seed_flow) clamps the requests to
-    /// the remaining capacity and installs a valid (capacity-respecting,
-    /// conserving) flow. The floor loses at most one scaled unit per arc,
-    /// which the certification max-flow recovers from the residual graph:
-    /// Dinic completes **any** valid flow to a maximum flow, so seeding
-    /// changes only how many augmenting paths are needed, never the result.
-    ///
-    /// On the i128 tier each request is narrowed with a clamp to
-    /// `i128::MAX`: `seed_flow` caps every request by the remaining source
-    /// supply and sink room, and those are bounded by endpoint totals the
-    /// admission check proved fit — so the clamp can never change the
-    /// installed amount, only the (ignored) excess of the request.
-    fn seed_support(
-        &mut self,
-        g: &Graph,
-        alive: &VertexSet,
-        support: &[(VertexId, VertexId, Rational, Rational)],
-    ) -> BigInt {
-        if support.is_empty() {
-            return BigInt::zero();
-        }
-        debug_assert!(self.int_scale.is_positive());
-        let mut seeds = Vec::with_capacity(support.len());
-        for (v, u, f, w_then) in support {
-            let (v, u) = (*v, *u);
-            if !alive.contains(v) || !alive.contains(u) {
-                continue;
-            }
-            let Ok(mid) = self
-                .mid_edges
-                .binary_search_by(|probe| (probe.0, probe.1).cmp(&(v, u)))
-            else {
-                continue; // edge no longer present (different topology)
-            };
-            let Ok(vpos) = self.source_edges.binary_search_by(|probe| probe.0.cmp(&v)) else {
-                continue;
-            };
-            let Ok(upos) = self.sink_edges.binary_search_by(|probe| probe.0.cmp(&u)) else {
-                continue;
-            };
-            let w_now = g.weight(v);
-            // desired = ⌊ f · (w'_v / w_v) · p·D ⌋, assembled numerator over
-            // denominator so there is exactly one big division per arc.
-            let num = &(&(f.numer() * w_now.numer())
-                * &BigInt::from_parts(Sign::Plus, w_then.denom().clone()))
-                * &self.int_scale;
-            let den = &(&BigInt::from_parts(Sign::Plus, f.denom().clone())
-                * &BigInt::from_parts(Sign::Plus, w_now.denom().clone()))
-                * w_then.numer();
-            seeds.push(SeedArc {
-                source_edge: self.source_edges[vpos].1,
-                mid_edge: self.mid_edges[mid].2,
-                sink_edge: self.sink_edges[upos].1,
-                desired: &num / &den,
-            });
-        }
-        match self.cert_engine {
-            CertEngine::I128 => {
-                let narrowed: Vec<SeedArc<i128>> = seeds
-                    .iter()
-                    .map(|s| SeedArc {
-                        source_edge: s.source_edge,
-                        mid_edge: s.mid_edge,
-                        sink_edge: s.sink_edge,
-                        desired: s.desired.to_i128().unwrap_or(i128::MAX),
-                    })
-                    .collect();
-                let total = self.exact_i128.seed_flow(&narrowed);
-                debug_assert!(self.exact_i128.check_capacities());
-                debug_assert!(self.exact_i128.check_conservation(Layout::S, Layout::T));
-                BigInt::from(total)
-            }
-            CertEngine::Int => {
-                let total = self.exact_int.seed_flow(&seeds);
-                debug_assert!(self.exact_int.check_capacities());
-                debug_assert!(self.exact_int.check_conservation(Layout::S, Layout::T));
-                total
-            }
         }
     }
 }
@@ -811,11 +687,10 @@ pub(crate) struct Certified {
 }
 
 /// Certify a candidate ratio `α̂` on the round's scaled-integer network,
-/// seeded from `support` (a previous certifying flow pattern), descending
-/// exactly while infeasible. This is the one Dinkelbach loop of the crate's
-/// production path: cold rounds start it at `α₀ = α(V_alive)` with no seed
-/// ([`maximal_bottleneck`]), the session's warm starts at the ratio of a
-/// cached bottleneck seeded from its certifying flow, and delta
+/// descending exactly while infeasible. This is the one Dinkelbach loop of
+/// the crate's production path: cold rounds start it at `α = 1` on each
+/// connected component ([`solve_round_by_component`]) or at
+/// `α₀ = α(V_alive)` ([`maximal_bottleneck`]), and the session's delta
 /// recertification at the previous bottleneck's (or a stability cell's)
 /// ratio.
 ///
@@ -831,20 +706,15 @@ pub(crate) struct Certified {
 ///   a prediction (a stability-cell evaluation) can: the result then comes
 ///   back with an empty `b` and `first_try` set, and the caller retries
 ///   with an exact candidate ratio.
-///
-/// The seed is clamped to the current capacities by the kernel, so a stale
-/// `support` costs augmenting paths, never correctness.
 pub(crate) fn certify_with_candidate(
     g: &Graph,
     alive: &VertexSet,
     round: usize,
     nets: &mut RoundNets,
     alpha_hat: Rational,
-    support: &[(VertexId, VertexId, Rational, Rational)],
 ) -> Result<Certified, BdError> {
     let layout = Layout { n: g.n() };
     nets.rebuild(g, alive, &alpha_hat);
-    let mut seeded = nets.seed_support(g, alive, support);
     let mut alpha = alpha_hat;
     let mut first = true;
     loop {
@@ -853,19 +723,9 @@ pub(crate) fn certify_with_candidate(
         if !first {
             nets.set_alpha(g, alive, &alpha);
         }
-        let (mut flow, promoted) = nets.cert_max_flow(g, alive, &alpha);
+        let flow = nets.cert_max_flow(g, alive, &alpha);
         let engine = nets.cert_engine.label();
         sp.attr("engine", || engine.to_string());
-        if promoted {
-            // A runtime overflow discarded the i128 network mid-round — and
-            // with it any seed installed there; the BigInt rerun pushed its
-            // whole flow from zero, so nothing must be added back.
-            seeded = BigInt::zero();
-        }
-        if first {
-            // `max_flow` reports only the flow it pushed on top of the seed.
-            flow += &seeded;
-        }
         // Feasible iff the sources saturate: max flow = Σ (w_v·D)·p.
         if flow == nets.int_source_total {
             let reaches = nets.cert_residual_reaches_sink();
@@ -911,9 +771,9 @@ pub(crate) fn certify_with_candidate(
 
 /// Find the maximal bottleneck of the induced subgraph on `alive` and its
 /// α-ratio, cold: the [`certify_with_candidate`] descent started at
-/// `α₀ = α(V_alive)` with no seed flow. Every step runs on the
-/// scaled-integer network, on `i128` unless the round promotes.
-pub(crate) fn maximal_bottleneck(
+/// `α₀ = α(V_alive)`. Every step runs on the scaled-integer network, on
+/// `i128` unless the round promotes.
+fn maximal_bottleneck(
     g: &Graph,
     alive: &VertexSet,
     round: usize,
@@ -926,7 +786,7 @@ pub(crate) fn maximal_bottleneck(
     if alpha0.is_zero() {
         return Err(BdError::ZeroAlpha { round });
     }
-    let c = certify_with_candidate(g, alive, round, nets, alpha0, &[])?;
+    let c = certify_with_candidate(g, alive, round, nets, alpha0)?;
     Ok((c.b, c.alpha))
 }
 
@@ -963,7 +823,7 @@ pub fn decompose(g: &Graph) -> Result<BottleneckDecomposition, BdError> {
 
 /// A connected component of an earlier round's alive subgraph, with the
 /// maximal bottleneck and ratio of the subgraph it induces.
-struct SolvedComponent {
+pub(crate) struct SolvedComponent {
     members: VertexSet,
     b: VertexSet,
     alpha: Rational,
@@ -1019,7 +879,7 @@ fn alive_components(g: &Graph, alive: &VertexSet) -> Vec<VertexSet> {
 /// in the whole-graph bottleneck even when its own component is not at the
 /// minimum. A round with any zero-weight alive vertex is therefore solved
 /// on the whole alive set, as [`maximal_bottleneck`] does.
-fn solve_round_by_component(
+pub(crate) fn solve_round_by_component(
     g: &Graph,
     alive: &VertexSet,
     round: usize,
@@ -1045,7 +905,7 @@ fn solve_round_by_component(
                 if members.len() == 1 {
                     return Err(BdError::ZeroAlpha { round });
                 }
-                let c = certify_with_candidate(g, &members, round, nets, Rational::one(), &[])?;
+                let c = certify_with_candidate(g, &members, round, nets, Rational::one())?;
                 SolvedComponent {
                     members,
                     b: c.b,
@@ -1114,7 +974,7 @@ pub(crate) fn check_pair_placement(
 /// bottlenecks off the alive set until it is empty, classifying vertices as
 /// it goes. `solve_round(g, alive, round)` supplies each round's
 /// `(B, α)` — the rational reference descent, the per-component
-/// scaled-integer descent, or the session's warm-started solver — and every
+/// scaled-integer descent, or the session's delta solver — and every
 /// round's pair passes [`check_pair_placement`].
 pub(crate) fn drive<F>(g: &Graph, mut solve_round: F) -> Result<BottleneckDecomposition, BdError>
 where

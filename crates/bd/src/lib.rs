@@ -53,4 +53,4 @@ pub use decomposition::{
 pub use delta::{CellMoebius, Delta, EdgeOp, StabilityCell, UpdateOutcome};
 pub use error::BdError;
 pub use par::{SessionPool, ShardPool};
-pub use session::{DecompositionSession, SessionConfig, SessionStats};
+pub use session::{DecompositionSession, SessionStats};

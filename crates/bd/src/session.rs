@@ -1,74 +1,40 @@
-//! `DecompositionSession` — a stateful, warm-started decomposition server.
+//! `DecompositionSession` — an owned instance served through a stream of
+//! mutations.
 //!
-//! The misreport sweep (Section III-B) and the Sybil grids call
-//! [`decompose`](crate::decompose) at hundreds of nearby parameter values.
-//! Because the decomposition `𝓑(x)` is **piecewise constant** in any single
-//! weight (the breakpoint argument of Section III-B: finitely many candidate
-//! ratios `w(Γ(S))/w(S)` cross each other at finitely many `x`), the
-//! combinatorial *shape* — which vertices form each round's maximal
-//! bottleneck — repeats across almost the entire grid. A cold call cannot
-//! exploit that: every round re-runs the Dinkelbach descent from
-//! `α(V_alive)` (each step of which computes an exact α-ratio and a
-//! max-flow).
-//!
-//! A session keeps the flow arenas **and** a small MRU cache of *shape
-//! certificates*: the per-round certified bottleneck sets of recent
-//! decompositions, with their certifying flow patterns. Each round then
-//! takes the cheapest sound path:
-//!
-//! 1. **Replay** — a cached round whose exact inputs (alive set, weights on
-//!    it, induced adjacency) equal the current round's returns its certified
-//!    `(B, α)` verbatim, zero flow work. This dominates inside a sweep:
-//!    only one weight moves per grid point, so every round solved after the
-//!    moving vertex is peeled is an exact replay of the cached tail.
-//! 2. **Warm certification** — otherwise compute `α̂ = α(B_cached)` (one
-//!    exact ratio) and certify it with a single max-flow on a
-//!    **scaled-integer network**: every capacity is multiplied by `p·D`
-//!    (`α̂ = p/q` in lowest terms, `D` the lcm of the alive weights'
-//!    denominators), so source arcs carry `(w_v·D)·p` and sink arcs
-//!    `(w_v·D)·q` — all integers, turning each Dinic step from a
-//!    gcd-normalized rational operation into plain big-integer arithmetic.
-//!    The network is pre-seeded with the cached certifying flow rescaled to
-//!    the current weights, so inside a known `ShapeInterval` the flow is
-//!    (nearly) maximal before the first BFS.
-//! 3. **Descent** — at a breakpoint the certification is infeasible and the
-//!    unchanged exact Dinkelbach descent resumes from the min cut (still on
-//!    the integer network); with no usable candidate at all, the cold
-//!    descent of [`decompose`](crate::decompose) runs on the session's
-//!    arenas. All three share one Dinkelbach loop.
-//!
-//! ## The delta API
-//!
-//! A session constructed **over an instance**
-//! ([`DecompositionSession::new`] takes ownership of the [`Graph`]) serves a
-//! *stream of mutations* instead of instance-at-a-time calls:
-//! [`apply`](DecompositionSession::apply) takes a [`Delta`] (`SetWeight` /
-//! `AddEdge` / `RemoveEdge` / `Batch`), mutates the owned instance
-//! transactionally, and reports which tier served it
+//! A session constructed **over an instance** ([`DecompositionSession::new`]
+//! takes ownership of the [`Graph`]) serves a *stream of mutations* instead
+//! of instance-at-a-time calls: [`apply`](DecompositionSession::apply) takes
+//! a [`Delta`] (`SetWeight` / `AddEdge` / `RemoveEdge` / `Batch`), mutates
+//! the owned instance transactionally, and reports which tier served it
 //! ([`UpdateOutcome::Unchanged`] / [`Recertified`](UpdateOutcome::Recertified)
-//! / [`Recomputed`](UpdateOutcome::Recomputed)). The incremental solver
-//! replays the previous decomposition's rounds verbatim wherever the
-//! mutation is invisible, re-certifies (seeded from the previous certifying
-//! flow via the kernel's `SeedArc` machinery) only the rounds whose
-//! bottleneck sets can see it, and falls back to the general warm solver
-//! the moment the round structure diverges — see `DESIGN.md` §3.3 for the
-//! tier soundness arguments and cell-cache invalidation rules.
+//! / [`Recomputed`](UpdateOutcome::Recomputed)). While the previous round
+//! structure stays intact, the incremental solver replays the previous
+//! decomposition's rounds verbatim wherever the mutation is invisible and
+//! re-certifies the rounds that can see it with one flow at the previous
+//! bottleneck's ratio `α(B_prev)` (or a stability cell's prediction); see
+//! `DESIGN.md` §3.3 for the tier soundness arguments and cell invalidation
+//! rules.
 //!
-//! **Bit-identity.** Replay is sound because the round solver is a pure
-//! function of the inputs it compares. For *any* vertex set `S`,
-//! `α(S) ≥ α* = min α`, so a cached candidate can never seed the descent
-//! below the optimum; at the optimum the maximal tight set extracted from
-//! the residual graph is unique (flow-independent — DESIGN.md §3.1); and
-//! uniform positive scaling of all capacities preserves the feasibility
-//! decision, min cuts, and residual reachability, so the integer network
-//! extracts the same sets as the rational one. The session therefore
-//! changes only where exact arithmetic is spent, never what it concludes;
-//! the `session_equivalence` and `incremental_equivalence` property suites
-//! enforce this against cold [`decompose`](crate::decompose) calls.
+//! Every round with no previous bottleneck to start from — a
+//! [`detached`](DecompositionSession::detached) session's
+//! [`decompose`](DecompositionSession::decompose), the first
+//! [`current`](DecompositionSession::current), and every round after the
+//! round structure breaks — runs the per-component solver of
+//! [`decompose`](crate::decompose) on the session's own flow arenas.
+//!
+//! **Bit-identity.** A candidate ratio only decides where the Dinkelbach
+//! descent starts, never where it ends: `α(S) ≥ α* = min α` for any vertex
+//! set `S`, and at the optimum the maximal tight set extracted from the
+//! residual graph is unique (flow-independent — DESIGN.md §3.1). Replay is
+//! sound because a round's solution is a pure function of its alive set,
+//! the weights on it and its induced adjacency, and a replayed round sees
+//! none of the mutation. The `session_equivalence` and
+//! `incremental_equivalence` property suites enforce this against cold
+//! [`decompose`](crate::decompose) calls.
 
 use crate::decomposition::{
-    certify_with_candidate, drive, maximal_bottleneck, AgentClass, BottleneckDecomposition,
-    RoundNets,
+    certify_with_candidate, drive, solve_round_by_component, AgentClass, BottleneckDecomposition,
+    RoundNets, SolvedComponent,
 };
 use crate::delta::{Delta, EdgeOp, StabilityCell, UpdateOutcome};
 use crate::error::BdError;
@@ -76,136 +42,36 @@ use prs_flow::stats;
 use prs_graph::{Graph, VertexId, VertexSet};
 use prs_numeric::Rational;
 
-/// How many MRU cache entries a warm-start probe inspects per round.
-/// Sweeps alternate between at most two shapes near a breakpoint (the
-/// bisection pattern), so a small probe window captures essentially all
-/// hits without scanning the whole cache.
-const PROBE_WINDOW: usize = 4;
-
-/// Tuning knobs for a [`DecompositionSession`].
-///
-/// Construct via [`SessionConfig::new`] + `with_*` builders; the struct is
-/// `#[non_exhaustive]` so future knobs are non-breaking.
-#[non_exhaustive]
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SessionConfig {
-    /// Seed each round from cached shape certificates (default `true`).
-    /// With this off the session still amortizes arena allocation but every
-    /// round runs the cold descent of [`decompose`](crate::decompose).
-    pub warm_start: bool,
-    /// Maximum number of cached shape certificates (default `32`; `0`
-    /// disables the cache entirely).
-    pub cache_capacity: usize,
-}
-
-impl SessionConfig {
-    /// The default configuration: warm starts on, 32 cached shapes.
-    pub fn new() -> Self {
-        SessionConfig {
-            warm_start: true,
-            cache_capacity: 32,
-        }
-    }
-
-    /// Enable or disable warm-starting from cached shapes.
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
-    /// Set the shape-cache capacity (`0` disables caching).
-    pub fn with_cache_capacity(mut self, cap: usize) -> Self {
-        self.cache_capacity = cap;
-        self
-    }
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig::new()
-    }
-}
-
 /// Counter snapshot of one session (see [`DecompositionSession::stats`]).
 ///
 /// `hits + misses` equals the total number of decomposition rounds served;
-/// `warm_starts ≥ hits` (a warm-started round that fails certification
-/// counts as a miss).
+/// `warm_starts ≥ hits` (a recertified round whose candidate fails
+/// certification counts as a miss).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Rounds settled by a cached shape: at most one certification max-flow.
+    /// Delta rounds settled by verbatim replay or by one first-try
+    /// certification flow.
     pub hits: u64,
-    /// Rounds that ran a descent (no usable cached candidate, or the warm
-    /// candidate sat on the wrong side of a breakpoint).
+    /// Rounds that ran a descent: every cold round, and every delta round
+    /// whose candidate sat on the wrong side of a breakpoint.
     pub misses: u64,
-    /// Rounds seeded from a cached shape (successful or not).
+    /// Delta rounds started from the previous decomposition (replayed or
+    /// recertified, successful or not).
     pub warm_starts: u64,
 }
 
-/// One certified round of a memoized decomposition: the answer `(B, α)`
-/// plus everything needed to (a) replay it verbatim when the round's exact
-/// inputs recur and (b) seed the certification max-flow when only the
-/// weights moved.
-#[derive(Clone)]
-struct RoundCert {
-    /// The certified maximal bottleneck `B_i`.
-    b: VertexSet,
-    /// Its certified ratio `α_i`.
-    alpha: Rational,
-    /// The certification context, shared so replaying a cached round into a
-    /// fresh cache entry is a pointer bump, not a deep copy.
-    data: std::sync::Arc<CertData>,
-}
-
-/// The inputs and certificate of one solved round.
-struct CertData {
-    /// The alive set the round was solved on.
-    alive: VertexSet,
-    /// `w_v` for each alive `v`, in `alive` iteration order.
-    weights: Vec<Rational>,
-    /// The alive-induced adjacency `(v, u)` pairs, in network build order.
-    adj: Vec<(VertexId, VertexId)>,
-    /// The certifying max-flow's middle arcs carrying positive flow:
-    /// `(v, u, flow, w_v-at-certification)`. A later warm start on weights
-    /// `w'` seeds the arc `left(v)→right(u)` with `flow · w'_v / w_v` —
-    /// a straight clone when `w'_v = w_v`, the common case in a sweep where
-    /// only one vertex's weight moves per grid point.
-    support: Vec<(VertexId, VertexId, Rational, Rational)>,
-}
-
-/// One memoized decomposition: the certified per-round bottleneck sets and
-/// their certifying flow patterns.
-///
-/// The capacity signature is implicit: `rounds[i]` is only *used* as a
-/// candidate, never trusted — its α-ratio is recomputed exactly against the
-/// current weights, and the seeded flow is clamped to the current capacities
-/// before [`max_flow`](prs_flow::Network::max_flow) completes it, so a
-/// stale entry costs one wasted certification flow at worst and can never
-/// corrupt a result.
-struct ShapeEntry {
-    n: usize,
-    rounds: Vec<RoundCert>,
-}
-
 /// The owned instance a session serves deltas against, with its current
-/// certified decomposition and any installed stability cells.
+/// decomposition and any installed stability cells.
 struct DeltaState {
     /// The instance as of the last committed delta.
     graph: Graph,
-    /// The current decomposition + per-round certificates; `None` until the
-    /// first [`current`](DecompositionSession::current) /
+    /// The current decomposition; `None` until the first
+    /// [`current`](DecompositionSession::current) /
     /// [`apply`](DecompositionSession::apply) forces a solve.
-    current: Option<CurrentResult>,
+    current: Option<BottleneckDecomposition>,
     /// Installed Prop. 11/12 breakpoint-cell certificates, consulted on the
     /// recertified tier and invalidated on commit (`DESIGN.md` §3.3).
     cells: Vec<StabilityCell>,
-}
-
-/// The decomposition of the owned instance together with the round
-/// certificates that seed the next delta's recertification flows.
-struct CurrentResult {
-    bd: BottleneckDecomposition,
-    certs: Vec<RoundCert>,
 }
 
 /// The canonicalized difference between the owned instance and its mutated
@@ -278,15 +144,14 @@ impl GraphDiff {
 }
 
 /// A reusable decomposition solver: owns the scaled-integer flow arenas
-/// across calls and memoizes shape certificates so repeated decompositions
-/// of nearby instances cost one certification max-flow per round instead of
-/// a full Dinkelbach descent.
+/// across calls and, over an owned instance, serves mutations through the
+/// delta tiers.
 ///
 /// Results are **bit-identical** to [`decompose`](crate::decompose) on every
 /// input; see the module docs for the argument.
 ///
-/// A session constructed with [`new`](Self::new) / [`with_config`](Self::with_config)
-/// *owns* its instance and serves mutations through [`apply`](Self::apply):
+/// A session constructed with [`new`](Self::new) *owns* its instance and
+/// serves mutations through [`apply`](Self::apply):
 ///
 /// ```
 /// use prs_bd::{decompose, DecompositionSession, Delta, UpdateOutcome};
@@ -309,8 +174,9 @@ impl GraphDiff {
 /// );
 /// ```
 ///
-/// A [`detached`](Self::detached) session has no owned instance and serves
-/// the legacy instance-at-a-time path (deviation sweeps, Sybil grids):
+/// A [`detached`](Self::detached) session has no owned instance and
+/// decomposes arbitrary instances on its arenas (deviation sweeps, Sybil
+/// grids):
 ///
 /// ```
 /// use prs_bd::{decompose, DecompositionSession};
@@ -322,13 +188,10 @@ impl GraphDiff {
 ///     let g = builders::path(vec![int(w), int(10)]).unwrap();
 ///     assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
 /// }
-/// assert!(session.stats().hits > 0); // the shape repeated across the sweep
+/// assert_eq!(session.stats().hits, 0); // every detached round is cold
 /// ```
 pub struct DecompositionSession {
-    cfg: SessionConfig,
     nets: RoundNets,
-    /// MRU-ordered shape certificates (front = most recent).
-    cache: Vec<ShapeEntry>,
     local: SessionStats,
     /// The owned instance + delta-serving state; `None` for detached
     /// sessions.
@@ -336,17 +199,12 @@ pub struct DecompositionSession {
 }
 
 impl DecompositionSession {
-    /// A session owning `g`, with the default [`SessionConfig`].
+    /// A session owning `g`.
     ///
     /// The first [`current`](Self::current) or [`apply`](Self::apply) call
     /// decomposes the instance; construction itself does no flow work.
     pub fn new(g: Graph) -> Self {
-        Self::with_config(g, SessionConfig::new())
-    }
-
-    /// A session owning `g`, with explicit tuning knobs.
-    pub fn with_config(g: Graph, cfg: SessionConfig) -> Self {
-        let mut s = Self::detached_with_config(cfg);
+        let mut s = Self::detached();
         s.replace_instance(g);
         s
     }
@@ -354,25 +212,13 @@ impl DecompositionSession {
     /// A session with no owned instance: the delta API is unavailable
     /// (returns [`BdError::DetachedSession`]) but
     /// [`decompose`](Self::decompose) serves arbitrary instances through the
-    /// shared arenas and shape cache.
+    /// shared arenas.
     pub fn detached() -> Self {
-        Self::detached_with_config(SessionConfig::new())
-    }
-
-    /// A detached session with explicit tuning knobs.
-    pub fn detached_with_config(cfg: SessionConfig) -> Self {
         DecompositionSession {
-            cfg,
             nets: RoundNets::new(0),
-            cache: Vec::new(),
             local: SessionStats::default(),
             delta: None,
         }
-    }
-
-    /// This session's configuration.
-    pub fn config(&self) -> &SessionConfig {
-        &self.cfg
     }
 
     /// The owned instance as of the last committed delta (`None` when
@@ -386,16 +232,6 @@ impl DecompositionSession {
     /// (`session_hits` / `session_misses` / `session_warm_starts`).
     pub fn stats(&self) -> SessionStats {
         self.local
-    }
-
-    /// Number of cached shape certificates.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Drop every cached shape certificate (arenas are kept).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
     }
 
     /// Number of installed stability cells.
@@ -424,7 +260,7 @@ impl DecompositionSession {
 
     /// Replace (or attach) the owned instance wholesale, dropping the delta
     /// state — current decomposition and stability cells — while keeping the
-    /// flow arenas and the MRU shape cache warm.
+    /// flow arenas.
     pub fn replace_instance(&mut self, g: Graph) {
         self.delta = Some(DeltaState {
             graph: g,
@@ -435,27 +271,12 @@ impl DecompositionSession {
 
     /// The decomposition of the owned instance, solving it on first use.
     pub fn current(&mut self) -> Result<&BottleneckDecomposition, BdError> {
-        let needs_solve = match &self.delta {
-            None => return Err(BdError::DetachedSession),
-            Some(state) => state.current.is_none(),
-        };
-        if needs_solve {
-            let g = match &self.delta {
-                Some(state) => state.graph.clone(),
-                None => return Err(BdError::DetachedSession),
-            };
-            let (bd, certs) = self.run_decompose(&g, true)?;
-            self.store(g.n(), certs.clone());
-            if let Some(state) = self.delta.as_mut() {
-                state.current = Some(CurrentResult { bd, certs });
-            }
+        let state = self.delta.as_mut().ok_or(BdError::DetachedSession)?;
+        if state.current.is_none() {
+            let bd = decompose_cold(&state.graph, &mut self.nets, &mut self.local)?;
+            state.current = Some(bd);
         }
-        match &self.delta {
-            Some(DeltaState {
-                current: Some(cur), ..
-            }) => Ok(&cur.bd),
-            _ => Err(BdError::DetachedSession),
-        }
+        state.current.as_ref().ok_or(BdError::DetachedSession)
     }
 
     /// Apply one [`Delta`] to the owned instance and re-serve the
@@ -536,13 +357,12 @@ impl DecompositionSession {
         let diff = GraphDiff::between(&state.graph, &scratch);
 
         // Cold delta state: nothing to be incremental against — decompose
-        // the mutated instance through the general warm solver.
+        // the mutated instance from scratch.
         let Some(cur) = state.current.as_ref() else {
-            let (bd, certs) = self.run_decompose(&scratch, true)?;
-            self.store(scratch.n(), certs.clone());
+            let bd = decompose_cold(&scratch, &mut self.nets, &mut self.local)?;
             retain_cells(&mut state.cells, &diff, &scratch);
             state.graph = scratch;
-            state.current = Some(CurrentResult { bd, certs });
+            state.current = Some(bd);
             return Ok(UpdateOutcome::Recomputed);
         };
 
@@ -555,14 +375,11 @@ impl DecompositionSession {
         // *not* sound: deleting an edge can lower some α(S) below α_r.)
         if diff.weights.is_empty()
             && diff.removed.is_empty()
-            && diff.added.iter().all(|&(u, v)| {
-                cur.bd.class_of(u) == AgentClass::C && cur.bd.class_of(v) == AgentClass::C
-            })
+            && diff
+                .added
+                .iter()
+                .all(|&(u, v)| cur.class_of(u) == AgentClass::C && cur.class_of(v) == AgentClass::C)
         {
-            // The round certificates keep their pre-insertion adjacency;
-            // that is sound (replay *compares* inputs before trusting, and
-            // seeds are clamped) but means the next visible delta sees the
-            // edge as cache-stale, which costs at most one extra flow.
             retain_cells(&mut state.cells, &diff, &scratch);
             state.graph = scratch;
             return Ok(UpdateOutcome::Unchanged);
@@ -570,25 +387,23 @@ impl DecompositionSession {
 
         // Tiers 2/3 — incremental re-decomposition: replay the previous
         // rounds wherever the diff is invisible, recertify the rounds that
-        // can see it, fall back to the general solver when the structure
-        // diverges.
+        // can see it, solve cold once the structure diverges.
         let cell = if diff.added.is_empty() && diff.removed.is_empty() && diff.weights.len() == 1 {
             let v = diff.weights[0];
             let x = scratch.weight(v);
             state
                 .cells
                 .iter()
-                .find(|c| c.covers(v, x) && c.shape_matches(&cur.bd))
+                .find(|c| c.covers(v, x) && c.shape_matches(cur))
                 .cloned()
         } else {
             None
         };
-        let (bd, certs, recert_rounds, clean) =
+        let (bd, recert_rounds, clean) =
             self.redecompose_delta(&scratch, cur, &diff, cell.as_ref())?;
-        self.store(scratch.n(), certs.clone());
         retain_cells(&mut state.cells, &diff, &scratch);
         state.graph = scratch;
-        state.current = Some(CurrentResult { bd, certs });
+        state.current = Some(bd);
         Ok(if clean {
             UpdateOutcome::Recertified {
                 rounds: recert_rounds,
@@ -599,217 +414,135 @@ impl DecompositionSession {
     }
 
     /// Incrementally re-decompose the mutated instance `g` against the
-    /// previous result. Returns the new decomposition, its round
-    /// certificates, the number of recertified rounds, and whether the
-    /// serve was *clean* (every round settled by verbatim replay or a
-    /// single first-try certification flow — the
-    /// [`UpdateOutcome::Recertified`] tier).
+    /// previous result. Returns the new decomposition, the number of
+    /// recertified rounds, and whether the serve was *clean* (every round
+    /// settled by verbatim replay or a single first-try certification flow
+    /// — the [`UpdateOutcome::Recertified`] tier).
     fn redecompose_delta(
         &mut self,
         g: &Graph,
-        prev: &CurrentResult,
+        prev: &BottleneckDecomposition,
         diff: &GraphDiff,
         cell: Option<&StabilityCell>,
-    ) -> Result<(BottleneckDecomposition, Vec<RoundCert>, usize, bool), BdError> {
-        let mut certified: Vec<RoundCert> = Vec::new();
+    ) -> Result<(BottleneckDecomposition, usize, bool), BdError> {
+        let (nets, local) = (&mut self.nets, &mut self.local);
         let mut recert_rounds = 0usize;
         let mut clean = true;
-        let result = {
-            let cfg = self.cfg.clone();
-            let nets = &mut self.nets;
-            let cache = &self.cache;
-            let local = &mut self.local;
-            let certified = &mut certified;
-            let recert_rounds = &mut recert_rounds;
-            let clean = &mut clean;
-            let prev_bd = &prev.bd;
-            let prev_certs = &prev.certs;
-            // The round-by-round alive set the *previous* decomposition
-            // would produce; as long as the actual alive set tracks it, the
-            // old round structure is still in force ("prefix intact") and
-            // the old certificates are usable as-is.
-            let mut prefix_intact = true;
-            let mut expected_alive = VertexSet::full(g.n());
-            let focus_x = cell.map(|c| g.weight(c.vertex).clone());
-            drive(g, move |g, alive, round| {
-                if prefix_intact {
-                    if round > 0 {
-                        if let Some(p) = prev_bd.pairs().get(round - 1) {
-                            expected_alive.subtract(&p.b.union(&p.c));
+        // The round-by-round alive set the *previous* decomposition would
+        // produce; as long as the actual alive set tracks it, the old round
+        // structure is still in force ("prefix intact").
+        let mut prefix_intact = true;
+        let mut expected_alive = VertexSet::full(g.n());
+        let mut solved = Vec::new();
+        let focus_x = cell.map(|c| g.weight(c.vertex).clone());
+        let bd = drive(g, |g, alive, round| {
+            if prefix_intact {
+                if round > 0 {
+                    if let Some(p) = prev.pairs().get(round - 1) {
+                        expected_alive.subtract(&p.b.union(&p.c));
+                    }
+                }
+                // The equality check is the whole soundness guard: any
+                // divergence — a different B, the same B with a grown or
+                // shrunk partner class C, extra rounds — shows up as a
+                // mismatched alive set at the next round's entry.
+                if round >= prev.k() || *alive != expected_alive {
+                    prefix_intact = false;
+                }
+            }
+            let mut sp = prs_trace::span("bd", "session_round");
+            sp.attr("round", || round.to_string());
+            if !prefix_intact {
+                // Structural break: the remaining rounds have no previous
+                // bottleneck to start from.
+                clean = false;
+                sp.attr("path", || "cold".to_string());
+                return cold_round(g, alive, round, nets, local, &mut solved);
+            }
+            let pair = &prev.pairs()[round];
+            local.warm_starts += 1;
+            stats::record_session_warm_starts(1);
+            if !diff.visible_in(alive) {
+                // Tail replay: this round's inputs (alive set, weights on
+                // it, induced adjacency) are identical to the previous
+                // decomposition's, and the round solver is a pure function
+                // of them — the pair replays verbatim, zero flow work.
+                sp.attr("path", || "delta_replay".to_string());
+                local.hits += 1;
+                stats::record_session_hits(1);
+                return Ok((pair.b.clone(), pair.alpha.clone()));
+            }
+            // The mutation is visible: recertify this round.
+            let one = Rational::one();
+            let mut attempt = None;
+            if let (Some(c), Some(x)) = (cell, focus_x.as_ref()) {
+                // A matching stability cell predicts this round's ratio
+                // outright. The certification flow adjudicates: a feasible
+                // flow with no tight set means the prediction undershot the
+                // optimum (a lying cell) and the exact candidate ratio below
+                // retries.
+                if let Some(alpha_hat) = c.alpha_curve(round).and_then(|m| m.eval(x)) {
+                    if alpha_hat.is_positive() && alpha_hat <= one {
+                        sp.attr("cell", || "predicted".to_string());
+                        let c = certify_with_candidate(g, alive, round, nets, alpha_hat)?;
+                        if !c.b.is_empty() {
+                            attempt = Some(c);
                         }
                     }
-                    // The equality check is the whole soundness guard: any
-                    // divergence — a different B, the same B with a grown
-                    // or shrunk partner class C, extra rounds — shows up as
-                    // a mismatched alive set at the next round's entry.
-                    if round >= prev_bd.k() || *alive != expected_alive {
-                        prefix_intact = false;
+                }
+            }
+            if attempt.is_none() {
+                // Exact candidate ratio of the previous bottleneck:
+                // α(B_prev) ≥ α* always, so certification either confirms
+                // it (tight set extraction included) or the descent walks
+                // down from it.
+                if let Some(alpha_hat) = g.alpha_ratio_in(&pair.b, alive) {
+                    if alpha_hat.is_positive() && alpha_hat <= one {
+                        attempt = Some(certify_with_candidate(g, alive, round, nets, alpha_hat)?);
                     }
                 }
-                if !prefix_intact {
-                    // Structural break: serve the remaining rounds through
-                    // the general warm solver (MRU replay, warm
-                    // certification, cold descent).
-                    *clean = false;
-                    return solve_round_warm(
-                        g, alive, round, &cfg, nets, cache, local, certified, true,
-                    );
-                }
-                let pair = &prev_bd.pairs()[round];
-                if !diff.visible_in(alive) {
-                    // Tail replay: this round's inputs (alive set, weights
-                    // on it, induced adjacency) are identical to the
-                    // previous decomposition's, and the round solver is a
-                    // pure function of them — the certificate replays
-                    // verbatim, zero flow work.
-                    let mut sp = prs_trace::span("bd", "session_round");
-                    sp.attr("round", || round.to_string());
-                    sp.attr("path", || "delta_replay".to_string());
+            }
+            match attempt {
+                Some(c) if c.first_try => {
+                    sp.attr("path", || "delta_recert".to_string());
                     local.hits += 1;
-                    local.warm_starts += 1;
                     stats::record_session_hits(1);
-                    stats::record_session_warm_starts(1);
-                    if let Some(rc) = prev_certs.get(round) {
-                        certified.push(rc.clone());
-                    }
-                    return Ok((pair.b.clone(), pair.alpha.clone()));
+                    recert_rounds += 1;
+                    Ok((c.b, c.alpha))
                 }
-                // The mutation is visible: recertify this round, seeded
-                // from the previous certifying flow.
-                let mut sp = prs_trace::span("bd", "session_round");
-                sp.attr("round", || round.to_string());
-                local.warm_starts += 1;
-                stats::record_session_warm_starts(1);
-                let support: &[(VertexId, VertexId, Rational, Rational)] = prev_certs
-                    .get(round)
-                    .map_or(&[], |rc| rc.data.support.as_slice());
-                let one = Rational::one();
-                let mut attempt = None;
-                if let (Some(c), Some(x)) = (cell, focus_x.as_ref()) {
-                    // A matching stability cell predicts this round's ratio
-                    // outright. The certification flow adjudicates: a
-                    // feasible flow with no tight set means the prediction
-                    // undershot the optimum (a lying cell) and the exact
-                    // candidate ratio below retries.
-                    if let Some(alpha_hat) = c.alpha_curve(round).and_then(|m| m.eval(x)) {
-                        if alpha_hat.is_positive() && alpha_hat <= one {
-                            sp.attr("cell", || "predicted".to_string());
-                            let c =
-                                certify_with_candidate(g, alive, round, nets, alpha_hat, support)?;
-                            if !c.b.is_empty() {
-                                attempt = Some(c);
-                            }
-                        }
-                    }
+                Some(c) => {
+                    // Crossed a breakpoint: the exact descent ran; the
+                    // result is still bit-identical but the serve is no
+                    // longer a pure recertification.
+                    sp.attr("path", || "delta_descent".to_string());
+                    local.misses += 1;
+                    stats::record_session_misses(1);
+                    clean = false;
+                    Ok((c.b, c.alpha))
                 }
-                if attempt.is_none() {
-                    // Exact candidate ratio of the previous bottleneck:
-                    // α(B_prev) ≥ α* always, so certification either
-                    // confirms it (tight set extraction included) or the
-                    // descent walks down from it.
-                    if let Some(alpha_hat) = g.alpha_ratio_in(&pair.b, alive) {
-                        if alpha_hat.is_positive() && alpha_hat <= one {
-                            attempt = Some(certify_with_candidate(
-                                g, alive, round, nets, alpha_hat, support,
-                            )?);
-                        }
-                    }
+                None => {
+                    // No usable candidate: the mutation pushed the previous
+                    // bottleneck's ratio out of (0, 1].
+                    sp.attr("path", || "cold".to_string());
+                    clean = false;
+                    cold_round(g, alive, round, nets, local, &mut solved)
                 }
-                let (b, alpha) = match attempt {
-                    Some(c) if c.first_try => {
-                        sp.attr("path", || "delta_recert".to_string());
-                        local.hits += 1;
-                        stats::record_session_hits(1);
-                        *recert_rounds += 1;
-                        (c.b, c.alpha)
-                    }
-                    Some(c) => {
-                        // Crossed a breakpoint: the exact descent ran; the
-                        // result is still bit-identical but the serve is no
-                        // longer a pure recertification.
-                        sp.attr("path", || "delta_descent".to_string());
-                        local.misses += 1;
-                        stats::record_session_misses(1);
-                        *clean = false;
-                        (c.b, c.alpha)
-                    }
-                    None => {
-                        // No usable candidate (the mutation pushed the
-                        // previous bottleneck's ratio out of (0, 1], or the
-                        // cell prediction failed without an exact backup):
-                        // plain cold descent from α(V_alive).
-                        sp.attr("path", || "cold".to_string());
-                        local.misses += 1;
-                        stats::record_session_misses(1);
-                        *clean = false;
-                        maximal_bottleneck(g, alive, round, nets)?
-                    }
-                };
-                certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
-                Ok((b, alpha))
-            })
-        };
-        result.map(|bd| (bd, certified, recert_rounds, clean))
+            }
+        })?;
+        Ok((bd, recert_rounds, clean))
     }
 
-    /// Warm-decompose an arbitrary instance on this session's arenas and
-    /// shape cache. Bit-identical to [`decompose`](crate::decompose).
+    /// Decompose an arbitrary instance on this session's arenas.
+    /// Bit-identical to [`decompose`](crate::decompose).
     ///
-    /// **Deprecated re-entry shim.** This predates the owned-instance delta
-    /// API: prefer constructing the session over the instance
-    /// ([`DecompositionSession::new`]) and streaming [`Delta`]s through
-    /// [`apply`](Self::apply), which replays/recertifies instead of
-    /// re-solving. `decompose` neither reads nor updates the session's delta
-    /// state; it is kept because the deviation sweep and the Sybil grids
-    /// legitimately decompose many *unrelated* instances through one arena.
+    /// This neither reads nor updates the session's delta state; it serves
+    /// the deviation sweep and the Sybil grids, which decompose many
+    /// *unrelated* instances through one arena. For a stream of mutations of
+    /// one instance, construct the session over it
+    /// ([`DecompositionSession::new`]) and [`apply`](Self::apply) deltas,
+    /// which replays and recertifies instead of re-solving.
     pub fn decompose(&mut self, g: &Graph) -> Result<BottleneckDecomposition, BdError> {
-        let (bd, certs) = self.run_decompose(g, false)?;
-        self.store(g.n(), certs);
-        Ok(bd)
-    }
-
-    /// Drive a full decomposition through [`solve_round_warm`], collecting
-    /// round certificates when the cache wants them or `force_collect` asks
-    /// for them (the delta path needs certificates even with the MRU cache
-    /// disabled).
-    fn run_decompose(
-        &mut self,
-        g: &Graph,
-        force_collect: bool,
-    ) -> Result<(BottleneckDecomposition, Vec<RoundCert>), BdError> {
-        let collect = force_collect || self.cfg.cache_capacity > 0;
-        let mut certified: Vec<RoundCert> = Vec::new();
-        let result = {
-            let cfg = self.cfg.clone();
-            let nets = &mut self.nets;
-            let cache = &self.cache;
-            let local = &mut self.local;
-            let certified = &mut certified;
-            drive(g, |g, alive, round| {
-                solve_round_warm(
-                    g, alive, round, &cfg, nets, cache, local, certified, collect,
-                )
-            })
-        };
-        result.map(|bd| (bd, certified))
-    }
-
-    /// Insert a freshly certified shape at the cache front (MRU), deduping
-    /// identical shapes (the fresh entry wins, so the cached flow pattern
-    /// tracks the most recent weights) and evicting beyond capacity.
-    fn store(&mut self, n: usize, rounds: Vec<RoundCert>) {
-        if self.cfg.cache_capacity == 0 {
-            return;
-        }
-        if let Some(pos) = self.cache.iter().position(|e| {
-            e.n == n
-                && e.rounds.len() == rounds.len()
-                && e.rounds.iter().zip(&rounds).all(|(a, b)| a.b == b.b)
-        }) {
-            self.cache.remove(pos);
-        }
-        self.cache.insert(0, ShapeEntry { n, rounds });
-        self.cache.truncate(self.cfg.cache_capacity);
+        decompose_cold(g, &mut self.nets, &mut self.local)
     }
 }
 
@@ -818,6 +551,39 @@ impl Default for DecompositionSession {
     fn default() -> Self {
         Self::detached()
     }
+}
+
+/// Decompose `g` from scratch on the session's arenas: every round is a
+/// [`cold_round`].
+fn decompose_cold(
+    g: &Graph,
+    nets: &mut RoundNets,
+    local: &mut SessionStats,
+) -> Result<BottleneckDecomposition, BdError> {
+    let mut solved = Vec::new();
+    drive(g, |g, alive, round| {
+        let mut sp = prs_trace::span("bd", "session_round");
+        sp.attr("round", || round.to_string());
+        sp.attr("path", || "cold".to_string());
+        cold_round(g, alive, round, nets, local, &mut solved)
+    })
+}
+
+/// One session round with no previous bottleneck to start from: the
+/// per-component solver of [`decompose`](crate::decompose), counted as a
+/// miss. `solved` carries the untouched components between the rounds of
+/// one decomposition.
+fn cold_round(
+    g: &Graph,
+    alive: &VertexSet,
+    round: usize,
+    nets: &mut RoundNets,
+    local: &mut SessionStats,
+    solved: &mut Vec<SolvedComponent>,
+) -> Result<(VertexSet, Rational), BdError> {
+    local.misses += 1;
+    stats::record_session_misses(1);
+    solve_round_by_component(g, alive, round, nets, solved)
 }
 
 /// Apply `delta` to `g`, validating as it goes. Idempotent edge operations
@@ -863,211 +629,6 @@ fn retain_cells(cells: &mut Vec<StabilityCell>, diff: &GraphDiff, g: &Graph) {
     }
 }
 
-/// One session round, fastest path first:
-///
-/// 1. **Replay**: a cached round whose exact inputs (alive set, weights,
-///    induced adjacency) match the current ones returns its certified
-///    `(B, α)` verbatim — zero flow work. Sound because the round solver is
-///    a pure function of those inputs.
-/// 2. **Warm certification**: otherwise probe the shape cache for the best
-///    candidate set, build the scaled-integer network at its ratio `α̂`,
-///    seed it with the cached certifying flow, and run a single
-///    certification max-flow.
-/// 3. **Fallback**: no usable candidate → the cold descent from
-///    `α(V_alive)`; certification fails at a breakpoint → the descent
-///    continues from the min cut. Both run the same Dinkelbach loop.
-#[allow(clippy::too_many_arguments)]
-fn solve_round_warm(
-    g: &Graph,
-    alive: &VertexSet,
-    round: usize,
-    cfg: &SessionConfig,
-    nets: &mut RoundNets,
-    cache: &[ShapeEntry],
-    local: &mut SessionStats,
-    certified: &mut Vec<RoundCert>,
-    collect: bool,
-) -> Result<(VertexSet, Rational), BdError> {
-    // The `path` attribute names which of the session's tiers settled the
-    // round: `replay`, `warm_hit`, `warm_descent`, or `cold`.
-    let mut sp = prs_trace::span("bd", "session_round");
-    sp.attr("round", || round.to_string());
-    if cfg.warm_start {
-        if let Some(rc) = replay_candidate(g, alive, round, cache) {
-            sp.attr("path", || "replay".to_string());
-            local.hits += 1;
-            local.warm_starts += 1;
-            stats::record_session_hits(1);
-            stats::record_session_warm_starts(1);
-            if collect {
-                certified.push(rc.clone());
-            }
-            return Ok((rc.b.clone(), rc.alpha.clone()));
-        }
-    }
-
-    let warm = if cfg.warm_start {
-        best_warm_candidate(g, alive, round, cache)
-    } else {
-        None
-    };
-
-    let (b, alpha) = match warm {
-        Some((alpha_hat, entry_idx)) => {
-            local.warm_starts += 1;
-            stats::record_session_warm_starts(1);
-            let support = &cache[entry_idx].rounds[round].data.support;
-            let c = certify_with_candidate(g, alive, round, nets, alpha_hat, support)?;
-            if c.first_try {
-                sp.attr("path", || "warm_hit".to_string());
-                local.hits += 1;
-                stats::record_session_hits(1);
-            } else {
-                sp.attr("path", || "warm_descent".to_string());
-                local.misses += 1;
-                stats::record_session_misses(1);
-            }
-            (c.b, c.alpha)
-        }
-        None => {
-            // Cold round: the descent from α(V_alive), on this session's
-            // arenas.
-            sp.attr("path", || "cold".to_string());
-            local.misses += 1;
-            stats::record_session_misses(1);
-            maximal_bottleneck(g, alive, round, nets)?
-        }
-    };
-    if collect {
-        certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
-    }
-    Ok((b, alpha))
-}
-
-/// Find a cached round whose exact inputs — alive set, weights on it, and
-/// the alive-induced adjacency — equal the current round's. The round
-/// solver is a pure function of those inputs, so its certified `(B, α)`
-/// replays verbatim: no network rebuild, no ratio computation, no flow.
-///
-/// This is the dominant path inside a sweep: only one vertex's weight moves
-/// per grid point, so every round solved after that vertex is peeled is an
-/// exact replay of the cached decomposition's tail.
-fn replay_candidate<'a>(
-    g: &Graph,
-    alive: &VertexSet,
-    round: usize,
-    cache: &'a [ShapeEntry],
-) -> Option<&'a RoundCert> {
-    for entry in cache.iter().take(PROBE_WINDOW) {
-        if entry.n != g.n() || round >= entry.rounds.len() {
-            continue;
-        }
-        let data = &entry.rounds[round].data;
-        if data.alive != *alive {
-            continue;
-        }
-        if !alive
-            .iter()
-            .zip(&data.weights)
-            .all(|(v, w)| g.weight(v) == w)
-        {
-            continue;
-        }
-        // Same alive set and weights; confirm the induced adjacency (the
-        // session accepts arbitrary graphs, not just one weight family).
-        let mut cached_adj = data.adj.iter();
-        let mut same = true;
-        'topo: for v in alive.iter() {
-            for &u in g.neighbors(v) {
-                if alive.contains(u) && cached_adj.next() != Some(&(v, u)) {
-                    same = false;
-                    break 'topo;
-                }
-            }
-        }
-        if same && cached_adj.next().is_none() {
-            return Some(&entry.rounds[round]);
-        }
-    }
-    None
-}
-
-/// Probe the MRU front of the cache for this round's best warm seed: the
-/// candidate set with the smallest exact α-ratio among usable entries
-/// (`0 < α̂ ≤ 1`, candidate alive), together with the cache index it came
-/// from (its certifying flow pattern seeds the max-flow). Smaller seeds
-/// dominate: `α(S) ≥ α*` always, so the smallest available ratio is the one
-/// closest to the optimum.
-fn best_warm_candidate(
-    g: &Graph,
-    alive: &VertexSet,
-    round: usize,
-    cache: &[ShapeEntry],
-) -> Option<(Rational, usize)> {
-    let one = Rational::one();
-    let mut best: Option<(Rational, usize)> = None;
-    for (idx, entry) in cache.iter().take(PROBE_WINDOW).enumerate() {
-        if entry.n != g.n() || round >= entry.rounds.len() {
-            continue;
-        }
-        let cand = &entry.rounds[round].b;
-        if cand.is_empty() || !cand.is_subset(alive) {
-            continue;
-        }
-        let Some(alpha_hat) = g.alpha_ratio_in(cand, alive) else {
-            continue;
-        };
-        if !alpha_hat.is_positive() || alpha_hat > one {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(b, _)| alpha_hat < *b) {
-            best = Some((alpha_hat, idx));
-        }
-    }
-    best
-}
-
-/// Snapshot a freshly certified round into a [`RoundCert`]: the answer, the
-/// inputs it was solved on, and the certifying max-flow's middle-arc
-/// pattern. Every solve path leaves the round's scaled-integer network
-/// (BigInt or the checked-i128 fast tier) at the feasible optimum; its arc
-/// flows are divided back by the scale `p·D`, so the cached support is in
-/// true (unscaled) flow units regardless of which engine certifies next
-/// time.
-fn snapshot_cert(
-    nets: &RoundNets,
-    g: &Graph,
-    alive: &VertexSet,
-    b: &VertexSet,
-    alpha: &Rational,
-) -> RoundCert {
-    debug_assert!(nets.int_scale.is_positive());
-    let scale = nets.int_scale.magnitude();
-    let mut weights = Vec::with_capacity(alive.len());
-    for v in alive.iter() {
-        weights.push(g.weight(v).clone());
-    }
-    let mut adj = Vec::with_capacity(nets.mid_edges.len());
-    let mut support = Vec::new();
-    for &(v, u, e) in &nets.mid_edges {
-        adj.push((v, u));
-        let f = nets.cert_flow_on(e);
-        if f.is_positive() {
-            support.push((v, u, Rational::new(f, scale.clone()), g.weight(v).clone()));
-        }
-    }
-    RoundCert {
-        b: b.clone(),
-        alpha: alpha.clone(),
-        data: std::sync::Arc::new(CertData {
-            alive: alive.clone(),
-            weights,
-            adj,
-            support,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1089,55 +650,10 @@ mod tests {
             let cold = decompose(&g).unwrap();
             assert_eq!(warm, cold, "diverged at w0 = {}/7", k);
         }
+        // Detached rounds have no previous bottleneck: all of them are cold.
         let s = session.stats();
-        assert!(s.hits > 0, "a 40-point sweep must re-enter shapes: {s:?}");
-        assert!(s.hits + s.misses > 0);
-        assert!(s.warm_starts >= s.hits);
-    }
-
-    #[test]
-    fn warm_start_off_never_warm_starts() {
-        let cfg = SessionConfig::new().with_warm_start(false);
-        let mut session = DecompositionSession::detached_with_config(cfg);
-        for k in 1..10 {
-            let g = path_graph(int(k));
-            assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
-        }
-        let s = session.stats();
-        assert_eq!(s.warm_starts, 0);
-        assert_eq!(s.hits, 0);
         assert!(s.misses > 0);
-    }
-
-    #[test]
-    fn cache_capacity_zero_disables_caching() {
-        let cfg = SessionConfig::new().with_cache_capacity(0);
-        let mut session = DecompositionSession::detached_with_config(cfg);
-        for k in 1..6 {
-            let g = path_graph(int(k));
-            session.decompose(&g).unwrap();
-        }
-        assert_eq!(session.cache_len(), 0);
-        assert_eq!(session.stats().hits, 0);
-    }
-
-    #[test]
-    fn cache_evicts_beyond_capacity_and_dedupes() {
-        let cfg = SessionConfig::new().with_cache_capacity(2);
-        let mut session = DecompositionSession::detached_with_config(cfg);
-        // Same shape every time → a single deduped entry.
-        for k in 1..5 {
-            session.decompose(&path_graph(int(k))).unwrap();
-        }
-        assert_eq!(session.cache_len(), 1);
-        // Distinct shapes (different n) evict down to capacity.
-        session
-            .decompose(&builders::path(vec![int(1), int(4)]).unwrap())
-            .unwrap();
-        session
-            .decompose(&builders::star(vec![int(10), int(1), int(1), int(1)]).unwrap())
-            .unwrap();
-        assert_eq!(session.cache_len(), 2);
+        assert_eq!((s.hits, s.warm_starts), (0, 0));
     }
 
     #[test]
@@ -1170,16 +686,6 @@ mod tests {
         ));
         let g = path_graph(int(3));
         assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
-    }
-
-    #[test]
-    fn config_builders_compose() {
-        let cfg = SessionConfig::new()
-            .with_warm_start(false)
-            .with_cache_capacity(7);
-        assert!(!cfg.warm_start);
-        assert_eq!(cfg.cache_capacity, 7);
-        assert_eq!(SessionConfig::default(), SessionConfig::new());
     }
 
     // ---- delta API ----
@@ -1277,7 +783,7 @@ mod tests {
         assert_eq!(*session.current().unwrap(), decompose(&committed).unwrap());
         assert_eq!(*session.current().unwrap(), before);
         // A later visible delta on the post-insertion instance still matches
-        // cold (stale certificates may cost a flow, never correctness).
+        // cold.
         session.update_weight(3, int(7)).unwrap();
         let committed = session.graph().unwrap().clone();
         assert_eq!(*session.current().unwrap(), decompose(&committed).unwrap());

@@ -1,8 +1,8 @@
 //! Certification round-trip under adversarial weight magnitudes.
 //!
-//! The session's warm path re-certifies a remembered decomposition shape
-//! on the scaled-integer network (capacities × `p · D`); the cold path
-//! derives the shape from scratch on the rational engine. With weights
+//! An owned session's delta path re-certifies the previous decomposition's
+//! bottlenecks on the scaled-integer network (capacities × `p · D`); the
+//! cold path derives the shape from scratch. With weights
 //! like `2⁻ᵏ` next to `2ᵏ` the scale factor `p · D` is hundreds of bits
 //! wide, so any truncation anywhere in the chain would make the two paths
 //! disagree. These tests pin the equality on exactly those instances —
@@ -10,7 +10,7 @@
 //! tight bound of 2 through precisely this kind of scale separation.
 
 use proptest::prelude::*;
-use prs_bd::{decompose, DecompositionSession, SessionConfig};
+use prs_bd::{decompose, DecompositionSession, Delta};
 use prs_graph::builders;
 use prs_numeric::Rational;
 
@@ -33,11 +33,9 @@ proptest! {
     #[test]
     fn session_matches_cold_decompose_on_adversarial_rings(weights in arb_scale_separated_ring()) {
         let g = builders::ring(weights).unwrap();
-        let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
-        // Twice through the session: the first call populates the shape
-        // cache (cold inside the session), the second re-certifies the
-        // remembered shape on the scaled-integer network (the warm path
-        // the optimizers live on). Both must equal the cold engine.
+        let mut session = DecompositionSession::detached();
+        // Twice through the session: the second call reuses the arenas the
+        // first one sized. Both must equal the cold engine.
         let first = session.decompose(&g).unwrap();
         let second = session.decompose(&g).unwrap();
         let cold = decompose(&g).unwrap();
@@ -52,23 +50,28 @@ proptest! {
 
     #[test]
     fn warm_hits_do_occur_on_perturbed_family(k in 50u32..300) {
-        // A one-parameter family around the lower-bound ring: nearby
-        // members share decomposition shapes, so the session must take
-        // its warm path (not silently fall back to cold) while agreeing
-        // with the cold engine bit-for-bit.
-        let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
-        for j in 0..4u32 {
+        // A one-parameter family around the lower-bound ring, streamed as
+        // weight deltas into one owned session: nearby members share
+        // decomposition shapes, so the session must take its warm path
+        // (not silently fall back to cold) while agreeing with the cold
+        // engine bit-for-bit.
+        let member = |j: u32| {
             let eps = pow2(-(k as i32) - j as i32);
             let big = pow2(k as i32 + j as i32);
-            let w = vec![
-                eps.clone(),
-                Rational::one(),
-                Rational::one(),
-                big,
-                eps,
-            ];
+            vec![eps.clone(), Rational::one(), Rational::one(), big, eps]
+        };
+        let mut session = DecompositionSession::new(builders::ring(member(0)).unwrap());
+        session.current().unwrap();
+        for j in 1..4u32 {
+            let w = member(j);
+            let step = Delta::Batch(
+                [0, 3, 4]
+                    .map(|v| Delta::SetWeight { v, w: w[v].clone() })
+                    .to_vec(),
+            );
+            session.apply(step).unwrap();
             let g = builders::ring(w).unwrap();
-            prop_assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
+            prop_assert_eq!(session.current().unwrap(), &decompose(&g).unwrap());
         }
         let stats = session.stats();
         prop_assert!(stats.hits + stats.warm_starts > 0,

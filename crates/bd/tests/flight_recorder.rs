@@ -5,7 +5,7 @@
 //! One `#[test]`: the flight recorder's capacity/dump state is
 //! process-global, so phases that re-install it must not interleave.
 
-use prs_bd::{decompose, DecompositionSession, SessionConfig};
+use prs_bd::{decompose, DecompositionSession};
 use prs_graph::builders;
 use prs_numeric::{int, Rational};
 use prs_trace::metrics::{self, FlightConfig, MetricsConfig};
@@ -24,7 +24,7 @@ fn flight_ring_wraps_and_promotion_dumps_poisoned_round() {
             .with_flight(FlightConfig::new().with_capacity(8)),
     );
     let g1 = builders::ring(vec![int(3), int(1), int(4), int(1), int(5)]).unwrap();
-    let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
+    let mut session = DecompositionSession::detached();
     assert_eq!(session.decompose(&g1).unwrap(), decompose(&g1).unwrap());
     let ring = metrics::flight_snapshot();
     assert_eq!(
@@ -57,10 +57,9 @@ fn flight_ring_wraps_and_promotion_dumps_poisoned_round() {
         ),
     );
     let dumps_before = metrics::flight_dump_count();
-    // The promotion lives on the *warm* certification path, so decompose
-    // two members of the family: the first (cold) fills the ring with
-    // completed rounds, the second warm-starts and promotes.
-    let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
+    // Decompose two members of the family: their rounds fill the ring, and
+    // the scaled capacities of both fail the i128 admission check.
+    let mut session = DecompositionSession::detached();
     for j in 0..2i32 {
         let eps = pow2(-200 - j);
         let big = pow2(200 + j);

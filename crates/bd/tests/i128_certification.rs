@@ -1,9 +1,9 @@
 //! The checked-i128 certification fast tier: routing and promotion.
 //!
-//! Every decomposition round — cold `decompose`, the session's warm
-//! certification, delta recertification — runs on the scaled-integer
-//! ladder: the `i128` engine first, BigInt on promotion. Two things must
-//! hold on both the warm and the cold path: shipped-scale instances run
+//! Every decomposition round — cold `decompose`, a session's cold rounds,
+//! delta recertification — runs on the scaled-integer ladder: the `i128`
+//! engine first, BigInt on promotion. Two things must hold on both the
+//! warm (delta) and the cold path: shipped-scale instances run
 //! entirely on the fast tier (promotion count exactly zero, and no
 //! rational max-flow at all), and adversarial scale separation promotes —
 //! with results bit-identical to the rational reference engine either way.
@@ -12,7 +12,7 @@
 //! process-global, so a concurrently running promoting test would make a
 //! "promotions == 0" window assertion flaky.
 
-use prs_bd::{decompose, decompose_exact, DecompositionSession, SessionConfig};
+use prs_bd::{decompose, decompose_exact, DecompositionSession, Delta};
 use prs_flow::stats;
 use prs_graph::{builders, random};
 use prs_numeric::{int, Rational};
@@ -25,10 +25,10 @@ fn pow2(e: i32) -> Rational {
 
 #[test]
 fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
-    // Phase 1 — shipped-scale weights: the warm certification must run on
+    // Phase 1 — shipped-scale weights: the session's rounds must run on
     // the i128 engine (i128 max-flows move) and never promote.
     let before = stats::snapshot();
-    let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
+    let mut session = DecompositionSession::detached();
     let g1 = builders::ring(vec![int(3), int(1), int(4), int(1), int(5)]).unwrap();
     let g2 = builders::ring(vec![int(4), int(1), int(4), int(1), int(5)]).unwrap();
     assert_eq!(session.decompose(&g1).unwrap(), decompose(&g1).unwrap());
@@ -45,17 +45,32 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
 
     // Phase 2 — adversarial scale separation: weights 2^±200 make the
     // p·D-scaled capacities hundreds of bits wide, so the admission test
-    // fails and the round promotes to BigInt. The decomposition is still
+    // fails and the round promotes to BigInt. The second member arrives as
+    // a weight delta on an owned session, so the recertification (the warm
+    // path) runs on these capacities too. The decomposition is still
     // bit-identical to the cold rational engine.
+    let member = |j: i32| {
+        vec![
+            pow2(-200 - j),
+            int(1),
+            int(1),
+            pow2(200 + j),
+            pow2(-200 - j),
+        ]
+    };
     let before = stats::snapshot();
-    let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
-    for j in 0..2i32 {
-        let eps = pow2(-200 - j);
-        let big = pow2(200 + j);
-        let w = vec![eps.clone(), int(1), int(1), big, eps];
-        let g = builders::ring(w).unwrap();
-        assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
-    }
+    let g = builders::ring(member(0)).unwrap();
+    let mut session = DecompositionSession::new(g.clone());
+    assert_eq!(session.current().unwrap(), &decompose(&g).unwrap());
+    let w = member(1);
+    let step = Delta::Batch(
+        [0, 3, 4]
+            .map(|v| Delta::SetWeight { v, w: w[v].clone() })
+            .to_vec(),
+    );
+    session.apply(step).unwrap();
+    let g = builders::ring(w).unwrap();
+    assert_eq!(session.current().unwrap(), &decompose(&g).unwrap());
     let delta = stats::snapshot().since(&before);
     let s = session.stats();
     assert!(

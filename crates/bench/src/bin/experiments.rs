@@ -1186,9 +1186,7 @@ fn e18_collusion() {
 /// decomposition of split rings — the inner loop of every attack optimizer.
 ///
 /// A second set of "session workloads" times whole sweeps and attack
-/// optimizations with warm-started [`DecompositionSession`]s (the default)
-/// against session-less cold runs (`warm_start(false)`,
-/// `cache_capacity(0)`), asserting identical results and recording the
+/// optimizations through pooled [`DecompositionSession`]s, recording the
 /// `session_hits`/`session_misses`/`session_warm_starts` counter deltas.
 fn bench_engines(quick: bool) {
     use prs_core::bd::{decompose, decompose_exact};
@@ -1384,43 +1382,30 @@ fn bench_engines(quick: bool) {
     let attack_stats = stats::snapshot().since(&before);
     println!("  end-to-end Sybil attack (n={attack_n}): {attack_ms:.1} ms/optimization");
 
-    // --- session workloads: warm-started sessions vs cold per-call runs ---
+    // --- session workloads: whole sweeps and attack optimizations -------
     //
-    // "cold" runs the same per-round descent with warm starts and
-    // the shape cache disabled, so the delta isolates exactly what the
-    // session machinery buys. Results are asserted identical first.
+    // Each workload decomposes through pooled sessions; the row records its
+    // time and the session counter deltas (every detached round is cold, so
+    // `session_misses` counts the rounds served).
     let mut session_rows: Vec<String> = Vec::new();
-    let mut ts = Table::new(&[
-        "workload",
-        "cold ms",
-        "session ms",
-        "speedup",
-        "hits",
-        "misses",
-        "warm-starts",
-    ]);
+    let mut ts = Table::new(&["workload", "session ms", "hits", "misses", "warm-starts"]);
     let mut push_session_row =
-        |name: &str, cold_ms: f64, session_ms: f64, delta: &prs_core::flow::stats::FlowStats| {
-            let speedup = cold_ms / session_ms;
+        |name: &str, session_ms: f64, delta: &prs_core::flow::stats::FlowStats| {
             ts.row(vec![
                 name.to_string(),
-                format!("{cold_ms:.3}"),
                 format!("{session_ms:.3}"),
-                format!("{speedup:.2}×"),
                 delta.session_hits.to_string(),
                 delta.session_misses.to_string(),
                 delta.session_warm_starts.to_string(),
             ]);
             session_rows.push(format!(
                 concat!(
-                    "    {{\"workload\": \"{}\", \"cold_ms\": {:.4}, \"session_ms\": {:.4}, ",
-                    "\"speedup\": {:.3}, \"session_hits\": {}, \"session_misses\": {}, ",
+                    "    {{\"workload\": \"{}\", \"session_ms\": {:.4}, ",
+                    "\"session_hits\": {}, \"session_misses\": {}, ",
                     "\"session_warm_starts\": {}}}"
                 ),
                 name,
-                cold_ms,
                 session_ms,
-                speedup,
                 delta.session_hits,
                 delta.session_misses,
                 delta.session_warm_starts,
@@ -1433,60 +1418,27 @@ fn bench_engines(quick: bool) {
     for &n in sweep_ns {
         let ring = ring_family(9100 + n as u64, 1, n, 1, 50).pop().unwrap();
         let fam = MisreportFamily::new(ring, 0);
-        let cold_cfg = SweepConfig::new()
-            .with_grid(sweep_grid)
-            .with_refine_bits(20)
-            .with_warm_start(false)
-            .with_cache_capacity(0);
-        let session_cfg = SweepConfig::new()
+        let cfg = SweepConfig::new()
             .with_grid(sweep_grid)
             .with_refine_bits(20);
-        let cold = sweep(&fam, &cold_cfg);
-        let warm = sweep(&fam, &session_cfg);
-        assert_eq!(
-            cold.samples.len(),
-            warm.samples.len(),
-            "sweep n={n}: sample counts differ"
-        );
-        for (c, w) in cold.samples.iter().zip(&warm.samples) {
-            assert_eq!((&c.x, &c.alpha, &c.utility), (&w.x, &w.alpha, &w.utility));
-            assert_eq!(c.class, w.class, "sweep n={n}: class differs at x={}", c.x);
-        }
-        let cold_ms = median_ms(reps, || sweep(&fam, &cold_cfg));
         let before = stats::snapshot();
-        let session_ms = median_ms(reps, || sweep(&fam, &session_cfg));
+        let session_ms = median_ms(reps, || sweep(&fam, &cfg));
         let delta = stats::snapshot().since(&before);
-        push_session_row(
-            &format!("misreport-sweep/n={n}"),
-            cold_ms,
-            session_ms,
-            &delta,
-        );
+        push_session_row(&format!("misreport-sweep/n={n}"), session_ms, &delta);
     }
 
     // Sybil grids: one pool across every zoom level of the optimizer.
     let sybil_ns: &[usize] = if quick { &[8] } else { &[12, 16] };
     for &n in sybil_ns {
         let ring = ring_family(9200 + n as u64, 1, n, 1, 50).pop().unwrap();
-        let cold_cfg = AttackConfig::new()
-            .with_grid(24)
-            .with_zoom_levels(3)
-            .with_keep(2)
-            .with_warm_start(false)
-            .with_cache_capacity(0);
-        let session_cfg = AttackConfig::new()
+        let cfg = AttackConfig::new()
             .with_grid(24)
             .with_zoom_levels(3)
             .with_keep(2);
-        let cold = best_sybil_split(&ring, 0, &cold_cfg);
-        let warm = best_sybil_split(&ring, 0, &session_cfg);
-        assert_eq!(cold.ratio, warm.ratio, "sybil n={n}: ratios differ");
-        assert_eq!(cold.best.w1, warm.best.w1, "sybil n={n}: splits differ");
-        let cold_ms = median_ms(reps, || best_sybil_split(&ring, 0, &cold_cfg));
         let before = stats::snapshot();
-        let session_ms = median_ms(reps, || best_sybil_split(&ring, 0, &session_cfg));
+        let session_ms = median_ms(reps, || best_sybil_split(&ring, 0, &cfg));
         let delta = stats::snapshot().since(&before);
-        push_session_row(&format!("sybil-grid/n={n}"), cold_ms, session_ms, &delta);
+        push_session_row(&format!("sybil-grid/n={n}"), session_ms, &delta);
     }
     ts.print();
 
@@ -1750,7 +1702,7 @@ fn bench_engines(quick: bool) {
                 }
             }) / total_events as f64;
             let incr_ms = median_ms(reps, || {
-                let pool = ShardPool::new(instances.clone(), SessionConfig::new());
+                let pool = ShardPool::new(instances.clone());
                 for (s, script) in scripts.iter().enumerate() {
                     for d in script {
                         assert!(pool.enqueue(s, d.clone()));
@@ -1823,7 +1775,7 @@ fn bench_engines(quick: bool) {
             let w = int((i as i64 * 7) % 49 + 1);
             s.apply(Delta::SetWeight { v: i % trace_n, w }).unwrap();
         }
-        let pool = ShardPool::new(vec![g], SessionConfig::new());
+        let pool = ShardPool::new(vec![g]);
         assert!(pool.enqueue(0, Delta::AddEdge { u: 0, v: 1 }));
         for outcomes in pool.drain(1) {
             for o in outcomes {

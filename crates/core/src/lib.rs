@@ -42,7 +42,7 @@ pub mod parse;
 pub use error::Error;
 pub use instance::RingInstance;
 
-/// Convenient glob-import surface, session-first: the warm-started
+/// Convenient glob-import surface, session-first: the arena-reusing
 /// [`DecompositionSession`](prs_bd::DecompositionSession) and its pool are
 /// the intended entry points for anything that decomposes more than one
 /// graph.
@@ -53,8 +53,8 @@ pub mod prelude {
     pub use crate::parse::parse_instance;
     pub use prs_bd::{
         allocate, decompose, decompose_exact, AgentClass, Allocation, BdError,
-        BottleneckDecomposition, CellMoebius, DecompositionSession, Delta, EdgeOp, SessionConfig,
-        SessionPool, SessionStats, ShardPool, StabilityCell, UpdateOutcome,
+        BottleneckDecomposition, CellMoebius, DecompositionSession, Delta, EdgeOp, SessionPool,
+        SessionStats, ShardPool, StabilityCell, UpdateOutcome,
     };
     pub use prs_deviation::{
         classify_prop11, stability_cells, sweep, AlphaSample, GraphFamily, MisreportFamily,

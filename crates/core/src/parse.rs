@@ -17,10 +17,12 @@
 //!
 //! Weights accept the same literals as [`Rational::from_str`]: integers,
 //! `p/q` fractions, and exact decimals. Failures come back as
-//! [`Error::Parse`] carrying the offending line number.
+//! [`Error::Parse`] carrying the offending line number: a graph-construction
+//! error points at the `weights:` or `edges:` line it comes from, and only a
+//! missing line is reported at line 0.
 
 use crate::error::Error;
-use prs_graph::{builders, Graph};
+use prs_graph::{builders, Graph, GraphError};
 use prs_numeric::Rational;
 
 fn err(line: usize, message: impl Into<String>) -> Error {
@@ -30,11 +32,29 @@ fn err(line: usize, message: impl Into<String>) -> Error {
     }
 }
 
+/// Locate a graph-construction error on the directive it comes from: edge
+/// errors on the `edges:` line, weight and vertex-count errors on the
+/// `weights:` line.
+fn graph_err(e: GraphError, weights_line: usize, edges_line: usize) -> Error {
+    let line = match e {
+        GraphError::VertexOutOfRange { .. }
+        | GraphError::SelfLoop { .. }
+        | GraphError::DuplicateEdge { .. }
+        | GraphError::MissingEdge { .. } => edges_line,
+        GraphError::NegativeWeight { .. }
+        | GraphError::NonPositiveWeight { .. }
+        | GraphError::WeightCountMismatch { .. }
+        | GraphError::TooFewVertices { .. } => weights_line,
+    };
+    err(line, e.to_string())
+}
+
 /// Parse an instance file into a [`Graph`].
 pub fn parse_instance(text: &str) -> Result<Graph, Error> {
     let mut kind: Option<&str> = None;
-    let mut weights: Option<Vec<Rational>> = None;
-    let mut edges: Option<Vec<(usize, usize)>> = None;
+    // Each directive with the line it was read from.
+    let mut weights: Option<(Vec<Rational>, usize)> = None;
+    let mut edges: Option<(Vec<(usize, usize)>, usize)> = None;
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -50,7 +70,7 @@ pub fn parse_instance(text: &str) -> Result<Graph, Error> {
                         .map_err(|_| err(lineno, format!("invalid weight `{tok}`")))
                 })
                 .collect();
-            weights = Some(parsed?);
+            weights = Some((parsed?, lineno));
         } else if let Some(rest) = line.strip_prefix("edges:") {
             let mut list = Vec::new();
             for tok in rest.split_whitespace() {
@@ -65,7 +85,7 @@ pub fn parse_instance(text: &str) -> Result<Graph, Error> {
                     .map_err(|_| err(lineno, format!("invalid endpoint `{b}`")))?;
                 list.push((a, b));
             }
-            edges = Some(list);
+            edges = Some((list, lineno));
         } else if kind.is_none() && (line == "ring" || line == "path" || line == "graph") {
             kind = Some(match line {
                 "ring" => "ring",
@@ -78,13 +98,14 @@ pub fn parse_instance(text: &str) -> Result<Graph, Error> {
     }
 
     let kind = kind.ok_or_else(|| err(0, "missing topology line (`ring`, `path` or `graph`)"))?;
-    let weights = weights.ok_or_else(|| err(0, "missing `weights:` line"))?;
+    let (weights, weights_line) = weights.ok_or_else(|| err(0, "missing `weights:` line"))?;
     match kind {
-        "ring" => builders::ring(weights).map_err(|e| err(0, e.to_string())),
-        "path" => builders::path(weights).map_err(|e| err(0, e.to_string())),
+        "ring" => builders::ring(weights).map_err(|e| graph_err(e, weights_line, 0)),
+        "path" => builders::path(weights).map_err(|e| graph_err(e, weights_line, 0)),
         _ => {
-            let edges = edges.ok_or_else(|| err(0, "`graph` instances need an `edges:` line"))?;
-            Graph::new(weights, &edges).map_err(|e| err(0, e.to_string()))
+            let (edges, edges_line) =
+                edges.ok_or_else(|| err(0, "`graph` instances need an `edges:` line"))?;
+            Graph::new(weights, &edges).map_err(|e| graph_err(e, weights_line, edges_line))
         }
     }
 }
@@ -144,5 +165,37 @@ mod tests {
         // Invalid topology bubbles up the GraphError text.
         let (_, message) = parse_err("graph\nweights: 1 2\nedges: 0-0");
         assert!(message.contains("self-loop"));
+    }
+
+    #[test]
+    fn weight_errors_point_at_the_weights_line() {
+        assert_eq!(
+            parse_err("ring\nweights: 3 -1 4 1 5"),
+            (2, "negative weight at vertex 1".to_string())
+        );
+        // Comments and blank lines still count towards the line number.
+        let (line, message) = parse_err("# demo\n\npath\nweights: 2 -3");
+        assert_eq!(line, 4);
+        assert!(message.contains("negative weight"), "{message}");
+        // Too few weights for a ring is a weight-count problem.
+        let (line, _) = parse_err("ring\nweights: 1 2");
+        assert_eq!(line, 2);
+        let (line, _) = parse_err("graph\nedges: 0-1\nweights: 1 -2");
+        assert_eq!(line, 3);
+    }
+
+    #[test]
+    fn edge_errors_point_at_the_edges_line() {
+        let (line, message) = parse_err("graph\nweights: 1 2\nedges: 0-0");
+        assert_eq!(line, 3);
+        assert!(message.contains("self-loop"), "{message}");
+        let (line, message) = parse_err("graph\nweights: 1 2 3\n# edges next\nedges: 0-1 1-5");
+        assert_eq!(line, 4);
+        assert!(message.contains("out of range"), "{message}");
+        let (line, _) = parse_err("graph\nedges: 0-1 1-0\nweights: 1 2");
+        assert_eq!(line, 2);
+        // A missing directive has no line to point at.
+        let (line, _) = parse_err("graph\nweights: 1 2");
+        assert_eq!(line, 0);
     }
 }

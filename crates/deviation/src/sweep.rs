@@ -10,7 +10,7 @@
 
 use crate::family::GraphFamily;
 use prs_bd::par::{worker_threads, SessionPool};
-use prs_bd::{AgentClass, BottleneckDecomposition, DecompositionSession, SessionConfig};
+use prs_bd::{AgentClass, BottleneckDecomposition, DecompositionSession};
 use prs_graph::VertexId;
 use prs_numeric::Rational;
 
@@ -50,8 +50,7 @@ pub struct ShapeInterval {
 /// Sweep parameters.
 ///
 /// Construct via [`SweepConfig::new`] + `with_*` builders; the struct is
-/// `#[non_exhaustive]` so new knobs (like the session cache controls) land
-/// without breaking callers.
+/// `#[non_exhaustive]` so new knobs land without breaking callers.
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
@@ -60,21 +59,14 @@ pub struct SweepConfig {
     /// Bisection steps used to localize each breakpoint
     /// (final width = cell width / 2^bits).
     pub refine_bits: u32,
-    /// Warm-start decompositions from per-worker session caches
-    /// (default `true`; results are bit-identical either way).
-    pub warm_start: bool,
-    /// Shape-cache capacity of each worker session (default `32`).
-    pub cache_capacity: usize,
 }
 
 impl SweepConfig {
-    /// The default sweep: 64 grid cells, 30-bit localization, warm sessions.
+    /// The default sweep: 64 grid cells, 30-bit localization.
     pub fn new() -> Self {
         SweepConfig {
             grid: 64,
             refine_bits: 30,
-            warm_start: true,
-            cache_capacity: 32,
         }
     }
 
@@ -90,23 +82,11 @@ impl SweepConfig {
         self
     }
 
-    /// Enable or disable session warm-starts.
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
+    /// No-op, kept for source compatibility: the sweep's sessions no
+    /// longer have a warm-start switch (they reuse flow arenas only), so
+    /// `on` is ignored and results are the same either way.
+    pub fn with_warm_start(self, _on: bool) -> Self {
         self
-    }
-
-    /// Set the per-session shape-cache capacity.
-    pub fn with_cache_capacity(mut self, cap: usize) -> Self {
-        self.cache_capacity = cap;
-        self
-    }
-
-    /// The session configuration implied by these sweep knobs.
-    pub fn session_config(&self) -> SessionConfig {
-        SessionConfig::new()
-            .with_warm_start(self.warm_start)
-            .with_cache_capacity(self.cache_capacity)
     }
 }
 
@@ -202,9 +182,8 @@ fn refine_cell<F: GraphFamily>(
 /// Every evaluation is independent, so both passes fan out over scoped
 /// worker threads; results are reassembled in parameter order, making the
 /// output identical to a sequential sweep. The grid and bisection passes
-/// share one [`SessionPool`]: each worker warm-starts its decompositions
-/// from the shapes its session has already certified (piecewise-constant
-/// `𝓑(x)` makes nearly every re-evaluation a cache hit).
+/// share one [`SessionPool`], so each worker decomposes on one session's
+/// flow arenas for the whole sweep.
 pub fn sweep<F: GraphFamily + Sync>(fam: &F, cfg: &SweepConfig) -> SweepResult {
     let mut sp = prs_trace::span("deviation", "sweep");
     sp.attr("grid", || cfg.grid.to_string());
@@ -213,7 +192,7 @@ pub fn sweep<F: GraphFamily + Sync>(fam: &F, cfg: &SweepConfig) -> SweepResult {
     assert!(lo < hi, "degenerate domain");
     let grid = cfg.grid.max(1);
     let width = &(&hi - &lo) / &Rational::from_integer(grid as i64);
-    let pool = SessionPool::new(cfg.session_config());
+    let pool = SessionPool::new();
 
     // Grid pass (boundary points where the decomposition is undefined are
     // skipped — see `sample`).
@@ -237,7 +216,7 @@ pub fn sweep<F: GraphFamily + Sync>(fam: &F, cfg: &SweepConfig) -> SweepResult {
     // shapes is resolved only if the grid is fine enough — documented
     // limitation; raise `grid` for adversarial families.) Cells refine
     // independently, one worker each, with grid-pass sessions re-checked out
-    // of the pool — their caches already hold both shapes of each cell.
+    // of the pool.
     let cells: Vec<(AlphaSample, AlphaSample)> = samples
         .windows(2)
         .filter(|w| w[0].bd.shape() != w[1].bd.shape())

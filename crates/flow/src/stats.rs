@@ -54,19 +54,21 @@ pub struct FlowStats {
     pub networks_built: u64,
     /// Network rebuilds that reused existing arc storage (arena hits).
     pub networks_reused: u64,
-    /// Session rounds settled by a cached shape certificate (one exact
-    /// certification max-flow, no descent).
+    /// Delta rounds settled without a descent: replayed verbatim from the
+    /// previous decomposition, or certified by one first-try flow.
     pub session_hits: u64,
-    /// Session rounds that ran a full descent (no cached candidate, or the
-    /// warm candidate failed certification).
+    /// Session rounds that ran a descent: every cold round, and every delta
+    /// round whose candidate failed certification.
     pub session_misses: u64,
-    /// Session rounds seeded from a cached shape (hits plus failed probes).
+    /// Delta rounds started from the previous decomposition (hits plus
+    /// failed candidates).
     pub session_warm_starts: u64,
     /// Delta mutations answered `Unchanged` without any flow invocation
     /// (no-op deltas, idempotent edge ops, C–C edge insertions).
     pub delta_unchanged: u64,
-    /// Delta mutations served by round-scoped recertification (seeded
-    /// certification flows only, previous round structure confirmed).
+    /// Delta mutations served by round-scoped recertification (one
+    /// certification flow per visible round, previous round structure
+    /// confirmed).
     pub delta_recertified: u64,
     /// Delta mutations that fell back to a full recompute (cold state,
     /// vertex-count change, or a descent somewhere in the replay).
@@ -87,8 +89,8 @@ impl FlowStats {
         }
     }
 
-    /// Fraction of session-served rounds settled straight from the shape
-    /// cache (`NaN` when no session round was instrumented).
+    /// Fraction of session-served rounds settled without a descent (`NaN`
+    /// when no session round was instrumented).
     // prs-lint: allow(float, reason = "display-only ratio; derived from exact counters, never fed back into the solver")
     pub fn session_hit_rate(&self) -> f64 {
         let total = self.session_hits + self.session_misses;

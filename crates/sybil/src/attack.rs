@@ -17,7 +17,7 @@
 
 use crate::split::SybilSplitFamily;
 use prs_bd::par::{worker_threads, SessionPool};
-use prs_bd::{DecompositionSession, SessionConfig};
+use prs_bd::DecompositionSession;
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
 
@@ -42,8 +42,7 @@ impl SplitSample {
 /// Optimizer configuration.
 ///
 /// Construct via [`AttackConfig::new`] + `with_*` builders; the struct is
-/// `#[non_exhaustive]` so new knobs (like the session cache controls) land
-/// without breaking callers.
+/// `#[non_exhaustive]` so new knobs land without breaking callers.
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct AttackConfig {
@@ -53,11 +52,6 @@ pub struct AttackConfig {
     pub zoom_levels: usize,
     /// Number of best cells carried to the next level.
     pub keep: usize,
-    /// Warm-start decompositions from per-worker session caches
-    /// (default `true`; results are bit-identical either way).
-    pub warm_start: bool,
-    /// Shape-cache capacity of each worker session (default `32`).
-    pub cache_capacity: usize,
 }
 
 impl AttackConfig {
@@ -67,8 +61,6 @@ impl AttackConfig {
             grid: 48,
             zoom_levels: 6,
             keep: 3,
-            warm_start: true,
-            cache_capacity: 32,
         }
     }
 
@@ -90,23 +82,11 @@ impl AttackConfig {
         self
     }
 
-    /// Enable or disable session warm-starts.
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
+    /// No-op, kept for source compatibility: the optimizer's sessions no
+    /// longer have a warm-start switch (they reuse flow arenas only), so
+    /// `on` is ignored and results are the same either way.
+    pub fn with_warm_start(self, _on: bool) -> Self {
         self
-    }
-
-    /// Set the per-session shape-cache capacity.
-    pub fn with_cache_capacity(mut self, cap: usize) -> Self {
-        self.cache_capacity = cap;
-        self
-    }
-
-    /// The session configuration implied by these optimizer knobs.
-    pub fn session_config(&self) -> SessionConfig {
-        SessionConfig::new()
-            .with_warm_start(self.warm_start)
-            .with_cache_capacity(self.cache_capacity)
     }
 }
 
@@ -153,7 +133,7 @@ fn eval(
 }
 
 /// Evaluate every split in `xs` (exact decompositions, fanned out over
-/// scoped workers with pooled warm sessions), keeping successful samples in
+/// scoped workers with pooled sessions), keeping successful samples in
 /// input order.
 fn eval_batch(fam: &SybilSplitFamily, xs: &[Rational], pool: &SessionPool) -> Vec<SplitSample> {
     pool.map_indexed(xs.len(), worker_threads(xs.len()), |session, i| {
@@ -188,9 +168,9 @@ pub fn best_sybil_split(ring: &Graph, v: VertexId, cfg: &AttackConfig) -> SybilO
     let total = fam.total().clone();
     assert!(total.is_positive(), "agent must own positive weight");
     let mut evals = 0usize;
-    // One pool for the whole optimization: zoom-level evaluations warm-start
-    // from the shapes the level-0 grid certified.
-    let pool = SessionPool::new(cfg.session_config());
+    // One pool for the whole optimization: every zoom level reuses the
+    // level-0 grid's flow arenas.
+    let pool = SessionPool::new();
 
     let grid_pts = |lo: &Rational, hi: &Rational, m: usize| -> Vec<Rational> {
         let width = &(hi - lo) / &Rational::from_integer(m as i64);

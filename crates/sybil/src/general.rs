@@ -20,7 +20,7 @@
 
 // prs-lint: allow-file(panic, reason = "splits of a validated graph are valid by construction, degenerate decompose failures are handled as None, and anything else is a solver bug the search must abort on")
 
-use prs_bd::{decompose, BdError, DecompositionSession, SessionConfig};
+use prs_bd::{decompose, BdError, DecompositionSession};
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
 
@@ -136,8 +136,8 @@ pub fn attack_payoff_in(
 /// Configuration for the general-graph attack search.
 ///
 /// Construct via [`GeneralAttackConfig::new`] + `with_*` builders; the
-/// struct is `#[non_exhaustive]` so new knobs (like the session cache
-/// controls) land without breaking callers.
+/// struct is `#[non_exhaustive]` so new knobs land without breaking
+/// callers.
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct GeneralAttackConfig {
@@ -145,11 +145,6 @@ pub struct GeneralAttackConfig {
     pub grid: usize,
     /// Cap on the number of copies `m` (≤ d_v is enforced separately).
     pub max_copies: usize,
-    /// Warm-start decompositions from a session cache (default `true`;
-    /// results are bit-identical either way).
-    pub warm_start: bool,
-    /// Shape-cache capacity of the search session (default `32`).
-    pub cache_capacity: usize,
 }
 
 impl GeneralAttackConfig {
@@ -158,8 +153,6 @@ impl GeneralAttackConfig {
         GeneralAttackConfig {
             grid: 12,
             max_copies: 3,
-            warm_start: true,
-            cache_capacity: 32,
         }
     }
 
@@ -173,25 +166,6 @@ impl GeneralAttackConfig {
     pub fn with_max_copies(mut self, m: usize) -> Self {
         self.max_copies = m;
         self
-    }
-
-    /// Enable or disable session warm-starts.
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
-    /// Set the session shape-cache capacity.
-    pub fn with_cache_capacity(mut self, cap: usize) -> Self {
-        self.cache_capacity = cap;
-        self
-    }
-
-    /// The session configuration implied by these search knobs.
-    pub fn session_config(&self) -> SessionConfig {
-        SessionConfig::new()
-            .with_warm_start(self.warm_start)
-            .with_cache_capacity(self.cache_capacity)
     }
 }
 
@@ -257,9 +231,9 @@ pub fn best_general_sybil(
     let mut best_partition: Vec<usize> = vec![0; d];
     let mut best_weights: Vec<Rational> = vec![w_v.clone()];
     let mut evals = 0usize;
-    // One session for the whole search: weight placements within (and often
-    // across) partitions revisit the same decomposition shapes.
-    let mut session = DecompositionSession::detached_with_config(cfg.session_config());
+    // One session for the whole search, so every evaluation reuses its flow
+    // arenas.
+    let mut session = DecompositionSession::detached();
 
     let max_m = d.min(cfg.max_copies).max(1);
     for partition in enumerate_partitions(d, max_m) {

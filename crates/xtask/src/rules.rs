@@ -219,7 +219,7 @@ impl LintConfig {
             // The whole flow crate: the generic Dinic kernel, the Capacity
             // trait, and the (all exact) backends.
             "crates/flow/src".to_string(),
-            // The decomposition driver, the session replay/certify paths,
+            // The decomposition driver, the session delta replay/recertify paths,
             // and the delta-mutation vocabulary (cells evaluate exact
             // Möbius curves; a float anywhere here could skew an α̂).
             "crates/bd/src/decomposition.rs".to_string(),
@@ -284,31 +284,15 @@ impl LintConfig {
             non_exhaustive_fields: BTreeMap::from([
                 (
                     "AttackConfig".to_string(),
-                    [
-                        "grid",
-                        "zoom_levels",
-                        "keep",
-                        "warm_start",
-                        "cache_capacity",
-                    ]
-                    .map(String::from)
-                    .to_vec(),
+                    ["grid", "zoom_levels", "keep"].map(String::from).to_vec(),
                 ),
                 (
                     "GeneralAttackConfig".to_string(),
-                    ["grid", "max_copies", "warm_start", "cache_capacity"]
-                        .map(String::from)
-                        .to_vec(),
+                    ["grid", "max_copies"].map(String::from).to_vec(),
                 ),
                 (
                     "SweepConfig".to_string(),
-                    ["grid", "refine_bits", "warm_start", "cache_capacity"]
-                        .map(String::from)
-                        .to_vec(),
-                ),
-                (
-                    "SessionConfig".to_string(),
-                    ["warm_start", "cache_capacity"].map(String::from).to_vec(),
+                    ["grid", "refine_bits"].map(String::from).to_vec(),
                 ),
                 (
                     "TraceConfig".to_string(),

@@ -24,8 +24,8 @@ pub use prs_core::{Error, RingInstance};
 // The decomposition engine, session-first.
 pub use prs_core::bd::{
     allocate, decompose, decompose_exact, AgentClass, Allocation, BdError, BottleneckDecomposition,
-    BottleneckPair, CellMoebius, DecompositionSession, Delta, EdgeOp, SessionConfig, SessionPool,
-    SessionStats, ShardPool, StabilityCell, UpdateOutcome,
+    BottleneckPair, CellMoebius, DecompositionSession, Delta, EdgeOp, SessionPool, SessionStats,
+    ShardPool, StabilityCell, UpdateOutcome,
 };
 
 // Misreport sweeps and Sybil attacks.

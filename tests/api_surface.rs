@@ -14,7 +14,7 @@ use prs::prelude::{
     // Decomposition engine, session-first.
     allocate, decompose, decompose_exact,
     AgentClass, Allocation, BdError, BottleneckDecomposition,
-    DecompositionSession, SessionConfig, SessionPool, SessionStats,
+    DecompositionSession, SessionPool, SessionStats,
     // Delta mutation API (ISSUE 7).
     CellMoebius, Delta, EdgeOp, ShardPool, StabilityCell, UpdateOutcome,
     // Misreport sweeps.
@@ -69,12 +69,19 @@ fn surface_is_importable_and_coherent() {
 
     // Type names must be type-typed (turbofish/`size_of` forces this).
     fn has_default<T: Default>() {}
-    has_default::<SessionConfig>();
     has_default::<SessionStats>();
     has_default::<DecompositionSession>();
     has_default::<SweepConfig>();
     has_default::<AttackConfig>();
     has_default::<GeneralAttackConfig>();
+    has_default::<SessionPool>();
+    // Sessions and pools take no tuning knobs; the two surviving
+    // `with_warm_start` builders are no-ops kept for source compatibility.
+    let _: fn() -> SessionPool = SessionPool::new;
+    let _: fn(Vec<Graph>) -> ShardPool = ShardPool::new;
+    let _: fn(Graph) -> DecompositionSession = DecompositionSession::new;
+    let _: fn(SweepConfig, bool) -> SweepConfig = SweepConfig::with_warm_start;
+    let _: fn(AttackConfig, bool) -> AttackConfig = AttackConfig::with_warm_start;
     let _ = std::mem::size_of::<(
         PaperAudit,
         RingInstance,
@@ -163,11 +170,7 @@ fn prelude_alone_supports_the_swarm_workflow() {
 // touching component crates.
 #[test]
 fn prelude_alone_supports_the_session_workflow() {
-    let mut session = DecompositionSession::detached_with_config(
-        SessionConfig::new()
-            .with_warm_start(true)
-            .with_cache_capacity(8),
-    );
+    let mut session = DecompositionSession::detached();
     let g = builders::ring(vec![int(5), int(1), int(4), int(2)]).unwrap();
     let bd = session.decompose(&g).unwrap();
     assert_eq!(bd.utilities(&g).iter().sum::<Rational>(), g.total_weight());
@@ -207,10 +210,9 @@ fn prelude_alone_supports_the_delta_workflow() {
         Err(BdError::DetachedSession)
     ));
     // Sharded delta queues ride the same vocabulary.
-    let pool = ShardPool::new(
-        vec![builders::ring(vec![int(5), int(1), int(4), int(2)]).unwrap()],
-        SessionConfig::new(),
-    );
+    let pool = ShardPool::new(vec![
+        builders::ring(vec![int(5), int(1), int(4), int(2)]).unwrap()
+    ]);
     pool.enqueue(0, Delta::SetWeight { v: 0, w: int(3) });
     let drained = pool.drain(1);
     assert!(drained[0][0].is_ok());

@@ -8,7 +8,8 @@
 //! * parallel sweeps are **permutation-equal**: scheduling decides which
 //!   worker evaluates which point, but the multiset of deterministic
 //!   payload events (the `deviation` layer: samples, refinements,
-//!   breakpoints) is identical run to run after the `(worker, seq)` join.
+//!   breakpoints; the `bd` and `flow` spans of the work itself) is
+//!   identical run to run after the `(worker, seq)` join.
 //!
 //! The recorder is process-global, so every test serializes on one lock.
 
@@ -80,9 +81,9 @@ fn flow_spans_pin_engine_names_and_attrs() {
     // max-flow for each of the three backends), and every one carries the
     // `engine` attribute matching its prefix. Drive all three backends: a
     // cold decompose certifies on the checked-i128 fast tier for these
-    // small weights, allocate runs the exact rational engine, a warm
-    // same-shape session replay runs i128 again; a direct BigInt max-flow
-    // covers the promotion target.
+    // small weights, allocate runs the exact rational engine, a detached
+    // session's cold rounds run i128 again; a direct BigInt max-flow covers
+    // the promotion target.
     trace::clear();
     trace::enable();
     let g = ring();
@@ -141,10 +142,11 @@ fn flow_spans_pin_engine_names_and_attrs() {
 #[test]
 fn parallel_sweep_traces_are_permutation_equal() {
     let _guard = locked();
-    // Which worker handles which sweep point (and therefore which session
-    // cache warms up where) is scheduling-dependent, so worker-tagged
-    // bookkeeping spans and `bd` cache-path attributes legitimately vary.
-    // The deterministic payload — the `deviation` layer — must not.
+    // Which worker handles which sweep point is scheduling-dependent, so the
+    // worker bookkeeping spans (`par_worker`, `pool_worker`: worker ids and
+    // job counts) legitimately vary. Sessions carry no state from one
+    // decomposition to the next, so the payload — the `deviation` layer and
+    // the `bd` and `flow` spans of the work — must not.
     let record_once = || {
         trace::clear();
         trace::enable();
@@ -156,7 +158,11 @@ fn parallel_sweep_traces_are_permutation_equal() {
         let mut lines: Vec<String> = t
             .events
             .iter()
-            .filter(|e| e.layer == "deviation")
+            .filter(|e| match e.layer {
+                "deviation" | "flow" => true,
+                "bd" => !matches!(e.name, "par_worker" | "pool_worker"),
+                _ => false,
+            })
             .map(|e| format!("{}.{} {:?} {:?}", e.layer, e.name, e.kind, e.attrs))
             .collect();
         lines.sort();
@@ -168,10 +174,12 @@ fn parallel_sweep_traces_are_permutation_equal() {
         a_intervals, b_intervals,
         "sweep itself must be deterministic"
     );
-    assert!(
-        a.iter().any(|l| l.contains("deviation.sample")),
-        "sweep recorded no sample spans: {a:?}"
-    );
+    for needle in ["deviation.sample", "bd.session_round", "flow.i128_max_flow"] {
+        assert!(
+            a.iter().any(|l| l.starts_with(needle)),
+            "sweep recorded no {needle} spans: {a:?}"
+        );
+    }
     assert_eq!(a, b, "parallel sweep payload events differ between runs");
 }
 
@@ -210,7 +218,7 @@ fn parallel_sweep_records_worker_tagged_sections() {
     // count `sweep` adapts to) and check both workers' sections merge.
     trace::clear();
     trace::enable();
-    let pool = SessionPool::new(SessionConfig::new());
+    let pool = SessionPool::new();
     let _results = pool.map_indexed(8, 2, |session, i| {
         let g = builders::ring(vec![int(1 + i as i64), int(2), int(3), int(4)]).unwrap();
         session.decompose(&g).unwrap()
